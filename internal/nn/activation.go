@@ -1,7 +1,9 @@
 // Package nn is a small fully-connected neural-network library built for the
-// DDPG agent in package rl. It supports per-sample forward/backward passes,
-// the Adam optimizer, and the soft (Polyak) parameter updates DDPG's target
-// networks require. It deliberately implements only what the paper's RL
+// DDPG agent in package rl. It supports batched forward/backward passes —
+// one mat.GemmAcc per layer and direction over a feature-major batch, with
+// the one-sample Forward/Backward as the batch-of-one case — the Adam
+// optimizer, and the soft (Polyak) parameter updates DDPG's target networks
+// require. It deliberately implements only what the paper's RL
 // search needs — dense layers with ReLU/tanh/sigmoid/linear activations.
 package nn
 
@@ -53,6 +55,28 @@ func (a Activation) Apply(x float64) float64 {
 		return 1 / (1 + math.Exp(-x))
 	default:
 		panic("nn: unknown activation")
+	}
+}
+
+// applyBiased sets x[k] = σ(x[k] + b) for every k — Apply over one unit's
+// batch, with the activation chosen once rather than per element.
+func (a Activation) applyBiased(x []float64, b float64) {
+	switch a {
+	case Linear:
+		for k, v := range x {
+			x[k] = v + b
+		}
+	case ReLU:
+		for k, v := range x {
+			if v += b; v < 0 {
+				v = 0
+			}
+			x[k] = v
+		}
+	default:
+		for k, v := range x {
+			x[k] = a.Apply(v + b)
+		}
 	}
 }
 

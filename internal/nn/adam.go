@@ -48,8 +48,9 @@ func (a *Adam) Step(net *Network, batchSize int) {
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for li, l := range net.Layers {
+		gw, gb := l.grads()
 		mw, vw := a.mW[li], a.vW[li]
-		for i, g := range l.GW.Data {
+		for i, g := range gw.Data {
 			g *= scale
 			mw.Data[i] = a.Beta1*mw.Data[i] + (1-a.Beta1)*g
 			vw.Data[i] = a.Beta2*vw.Data[i] + (1-a.Beta2)*g*g
@@ -58,7 +59,7 @@ func (a *Adam) Step(net *Network, batchSize int) {
 			l.W.Data[i] -= a.LR * mh / (math.Sqrt(vh) + a.Epsilon)
 		}
 		mb, vb := a.mB[li], a.vB[li]
-		for i, g := range l.GB {
+		for i, g := range gb {
 			g *= scale
 			mb[i] = a.Beta1*mb[i] + (1-a.Beta1)*g
 			vb[i] = a.Beta2*vb[i] + (1-a.Beta2)*g*g

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"autohet/internal/mat"
 )
@@ -14,7 +15,9 @@ type Dense struct {
 	Act Activation
 
 	// Gradient accumulators, filled by Network.Backward and consumed by the
-	// optimizer. Same shapes as W and B.
+	// optimizer. Same shapes as W and B; nil until the layer's first
+	// gradient is accumulated, so target networks that are never trained
+	// never hold them.
 	GW *mat.Matrix
 	GB []float64
 }
@@ -23,25 +26,59 @@ type Dense struct {
 func newDense(rng *rand.Rand, in, out int, act Activation) *Dense {
 	w := mat.New(out, in)
 	w.XavierInit(rng, in, out)
-	return &Dense{
-		W:   w,
-		B:   make([]float64, out),
-		Act: act,
-		GW:  mat.New(out, in),
-		GB:  make([]float64, out),
-	}
+	return &Dense{W: w, B: make([]float64, out), Act: act}
 }
 
-// Network is a feed-forward stack of dense layers. It caches per-layer
-// activations so a Backward call can follow a Forward call; a Network is
-// therefore not safe for concurrent use (clone one per goroutine instead).
+// grads returns the layer's gradient accumulators, allocating them zeroed
+// on first use.
+func (l *Dense) grads() (*mat.Matrix, []float64) {
+	if l.GW == nil {
+		l.GW = mat.New(l.W.Rows, l.W.Cols)
+		l.GB = make([]float64, len(l.B))
+	}
+	return l.GW, l.GB
+}
+
+// Network is a feed-forward stack of dense layers. Its passes run over a
+// batch of samples at once and cache the activations in a scratch so a
+// Backward call can follow a Forward call; a Network is therefore not safe
+// for concurrent use (clone one per goroutine instead).
 type Network struct {
 	Layers []*Dense
 
-	// acts[0] is the input; acts[i+1] is the output of layer i.
-	acts [][]float64
-	// scratch buffers for backprop deltas, one per layer boundary.
-	deltas [][]float64
+	s *scratch
+}
+
+// scratch holds one network shape's batched buffers for up to cap samples.
+// Activations and deltas are feature-major — element (f, s) of an n-sample
+// pass sits at f*n+s — so each layer's batch is one contiguous matrix.
+type scratch struct {
+	widths []int // widths[0] is the input; widths[i+1] is layer i's output
+	cap    int
+	n      int // samples in the most recent forward pass
+	// acts[i] and deltas[i] hold the activations and dLoss/d(activation)
+	// at layer boundary i; deltas[0] is the input gradient.
+	acts, deltas [][]float64
+}
+
+func newScratch(widths []int) *scratch {
+	s := &scratch{widths: widths}
+	s.reserve(1)
+	return s
+}
+
+// reserve grows the buffers to hold n samples.
+func (s *scratch) reserve(n int) {
+	if n <= s.cap {
+		return
+	}
+	s.cap = n
+	s.acts = make([][]float64, len(s.widths))
+	s.deltas = make([][]float64, len(s.widths))
+	for i, w := range s.widths {
+		s.acts[i] = make([]float64, w*n)
+		s.deltas[i] = make([]float64, w*n)
+	}
 }
 
 // LayerSpec describes one layer of an MLP for NewNetwork.
@@ -68,19 +105,29 @@ func NewNetwork(rng *rand.Rand, inputs int, specs ...LayerSpec) *Network {
 		n.Layers = append(n.Layers, newDense(rng, in, s.Out, s.Act))
 		in = s.Out
 	}
-	n.allocScratch(inputs)
+	n.allocScratch()
 	return n
 }
 
-func (n *Network) allocScratch(inputs int) {
-	n.acts = make([][]float64, len(n.Layers)+1)
-	n.deltas = make([][]float64, len(n.Layers)+1)
-	n.acts[0] = make([]float64, inputs)
-	n.deltas[0] = make([]float64, inputs)
-	for i, l := range n.Layers {
-		n.acts[i+1] = make([]float64, len(l.B))
-		n.deltas[i+1] = make([]float64, len(l.B))
+func (n *Network) allocScratch() {
+	widths := []int{n.InputSize()}
+	for _, l := range n.Layers {
+		widths = append(widths, len(l.B))
 	}
+	n.s = newScratch(widths)
+}
+
+// ShareScratch makes n use other's scratch buffers; the two must have the
+// same layer widths. Networks that run one after another — an online
+// network and its target — then hold one set of batch buffers instead of
+// two, at a price: a pass of either overwrites what the other's last pass
+// returned or cached, so each Backward must follow its own network's
+// Forward with no pass of a sharing network in between.
+func (n *Network) ShareScratch(other *Network) {
+	if !slices.Equal(n.s.widths, other.s.widths) {
+		panic(fmt.Sprintf("nn: ShareScratch widths %v vs %v", n.s.widths, other.s.widths))
+	}
+	n.s = other.s
 }
 
 // InputSize returns the expected input width.
@@ -89,74 +136,129 @@ func (n *Network) InputSize() int { return n.Layers[0].W.Cols }
 // OutputSize returns the output width.
 func (n *Network) OutputSize() int { return len(n.Layers[len(n.Layers)-1].B) }
 
-// Forward runs x through the network and returns the output activation. The
-// returned slice is owned by the network and overwritten by the next call.
-func (n *Network) Forward(x []float64) []float64 {
-	if len(x) != n.InputSize() {
-		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), n.InputSize()))
+// Forward runs x through the network and returns the output activation —
+// the one-sample case of ForwardBatch, with the same ownership rules.
+func (n *Network) Forward(x []float64) []float64 { return n.ForwardBatch(x, 1) }
+
+// ForwardBatch runs a batch of samples through the network. x holds them
+// feature-major (x[f*samples+s] is feature f of sample s), and so does the
+// returned OutputSize()×samples output, which is owned by the network's
+// scratch and overwritten by the next pass. Every sample's output is
+// bit-identical to a one-sample Forward of it: each layer is one GemmAcc,
+// which sums every unit's inputs in ascending order like a dot product.
+func (n *Network) ForwardBatch(x []float64, samples int) []float64 {
+	if samples < 1 || len(x) != n.InputSize()*samples {
+		panic(fmt.Sprintf("nn: input size %d for %d samples, want %d per sample", len(x), samples, n.InputSize()))
 	}
-	copy(n.acts[0], x)
+	s := n.s
+	s.reserve(samples)
+	s.n = samples
+	copy(s.acts[0], x)
 	for i, l := range n.Layers {
-		out := n.acts[i+1]
-		l.W.MulVec(out, n.acts[i])
-		for j := range out {
-			out[j] = l.Act.Apply(out[j] + l.B[j])
+		rows, cols := l.W.Rows, l.W.Cols
+		out := s.acts[i+1][:rows*samples]
+		clear(out)
+		mat.GemmAcc(rows, samples, cols, l.W.Data, cols, 1, s.acts[i][:cols*samples], out)
+		for j, b := range l.B {
+			l.Act.applyBiased(out[j*samples:(j+1)*samples], b)
 		}
 	}
-	return n.acts[len(n.Layers)]
+	return s.acts[len(n.Layers)][:n.OutputSize()*samples]
 }
 
 // Backward accumulates parameter gradients for the most recent Forward call,
-// given dLoss/dOutput, and returns dLoss/dInput (owned by the network).
-// Gradients add into GW/GB so minibatch updates can accumulate across
-// samples; call ZeroGrad before a new batch.
+// given dLoss/dOutput, and returns dLoss/dInput (owned by the network's
+// scratch). It is the one-sample case of BackwardBatch with every input
+// gradient. Gradients add into GW/GB so minibatch updates can accumulate
+// across samples; call ZeroGrad before a new batch.
 func (n *Network) Backward(dOut []float64) []float64 {
+	return n.BackwardBatch(dOut, true, 0, n.InputSize())
+}
+
+// BackwardBatch backpropagates dOut (dLoss/dOutput, OutputSize()×samples,
+// feature-major) through the most recent ForwardBatch. With grads it adds
+// the parameter gradients into GW/GB sample by sample in batch order, so
+// the sums round exactly as one-sample Backward calls would. It returns
+// dLoss/dInput for input features [lo, hi) only — (hi−lo)×samples,
+// feature-major, owned by the scratch — and skips that product when
+// lo == hi; callers that discard parameter or input gradients pay for
+// neither.
+func (n *Network) BackwardBatch(dOut []float64, grads bool, lo, hi int) []float64 {
+	s := n.s
+	samples := s.n
 	last := len(n.Layers)
-	if len(dOut) != len(n.acts[last]) {
-		panic(fmt.Sprintf("nn: dOut size %d, want %d", len(dOut), len(n.acts[last])))
+	if len(dOut) != n.OutputSize()*samples {
+		panic(fmt.Sprintf("nn: dOut size %d, want %d", len(dOut), n.OutputSize()*samples))
 	}
-	copy(n.deltas[last], dOut)
+	if lo < 0 || hi < lo || hi > n.InputSize() {
+		panic(fmt.Sprintf("nn: input gradient range [%d,%d) of %d", lo, hi, n.InputSize()))
+	}
+	copy(s.deltas[last], dOut)
 	for i := last - 1; i >= 0; i-- {
 		l := n.Layers[i]
-		delta := n.deltas[i+1]
-		out := n.acts[i+1]
+		rows, cols := l.W.Rows, l.W.Cols
+		delta := s.deltas[i+1][:rows*samples]
+		out := s.acts[i+1][:rows*samples]
 		// Fold the activation derivative into the delta.
 		for j := range delta {
 			delta[j] *= l.Act.Derivative(out[j])
 		}
-		l.GW.AddOuterScaled(delta, n.acts[i], 1)
-		for j := range delta {
-			l.GB[j] += delta[j]
+		if grads {
+			gw, gb := l.grads()
+			// GW += δ·X over the batch, X being the layer input sample-major.
+			// The transposed copy borrows deltas[i], which has X's size and
+			// is not written until the input gradient below.
+			in, xt := s.acts[i], s.deltas[i][:samples*cols]
+			for f := 0; f < cols; f++ {
+				for k, v := range in[f*samples : (f+1)*samples] {
+					xt[k*cols+f] = v
+				}
+			}
+			mat.GemmAcc(rows, cols, samples, delta, samples, 1, xt, gw.Data)
+			for j := range gb {
+				for _, d := range delta[j*samples : (j+1)*samples] {
+					gb[j] += d
+				}
+			}
 		}
-		l.W.MulVecT(n.deltas[i], delta)
+		// dLoss/dInput = Wᵀ·δ, reading W through transposing strides.
+		switch {
+		case i > 0:
+			dIn := s.deltas[i][:cols*samples]
+			clear(dIn)
+			mat.GemmAcc(cols, samples, rows, l.W.Data, 1, cols, delta, dIn)
+		case hi > lo:
+			dIn := s.deltas[0][:(hi-lo)*samples]
+			clear(dIn)
+			mat.GemmAcc(hi-lo, samples, rows, l.W.Data[lo:], 1, cols, delta, dIn)
+		}
 	}
-	return n.deltas[0]
+	return s.deltas[0][:(hi-lo)*samples]
 }
 
 // ZeroGrad clears all accumulated gradients.
 func (n *Network) ZeroGrad() {
 	for _, l := range n.Layers {
-		l.GW.Zero()
-		for i := range l.GB {
-			l.GB[i] = 0
+		if l.GW == nil {
+			continue
 		}
+		l.GW.Zero()
+		clear(l.GB)
 	}
 }
 
-// Clone returns a deep copy of the network (weights, not gradients).
+// Clone returns a deep copy of the network's weights, with its own scratch
+// and no gradients.
 func (n *Network) Clone() *Network {
 	out := &Network{}
 	for _, l := range n.Layers {
-		c := &Dense{
+		out.Layers = append(out.Layers, &Dense{
 			W:   l.W.Clone(),
 			B:   append([]float64(nil), l.B...),
 			Act: l.Act,
-			GW:  mat.New(l.W.Rows, l.W.Cols),
-			GB:  make([]float64, len(l.B)),
-		}
-		out.Layers = append(out.Layers, c)
+		})
 	}
-	out.allocScratch(n.InputSize())
+	out.allocScratch()
 	return out
 }
 
@@ -192,6 +294,9 @@ func (n *Network) NumParams() int {
 func (n *Network) GradMaxAbs() float64 {
 	var max float64
 	for _, l := range n.Layers {
+		if l.GW == nil {
+			continue
+		}
 		if g := l.GW.MaxAbs(); g > max {
 			max = g
 		}

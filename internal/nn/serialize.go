@@ -59,12 +59,10 @@ func LoadNetwork(r io.Reader) (*Network, error) {
 			W:   mat.FromSlice(ld.Rows, ld.Cols, append([]float64(nil), ld.W...)),
 			B:   append([]float64(nil), ld.B...),
 			Act: ld.Act,
-			GW:  mat.New(ld.Rows, ld.Cols),
-			GB:  make([]float64, ld.Rows),
 		}
 		n.Layers = append(n.Layers, l)
 		in = ld.Rows
 	}
-	n.allocScratch(dto.Inputs)
+	n.allocScratch()
 	return n, nil
 }

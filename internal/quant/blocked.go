@@ -1,6 +1,10 @@
 package quant
 
-import "fmt"
+import (
+	"fmt"
+
+	"autohet/internal/cpufeat"
+)
 
 // SIMD-blocked signed integer kernel — the widest fast path. Where
 // PairMatrix packs two offset-binary codes per 64-bit multiply (2 MACs per
@@ -21,7 +25,7 @@ import "fmt"
 // asserted by FuzzBatchedMVM and the sim engine oracle tests.
 //
 // The kernel is gated at runtime: Blocked() returns nil unless the CPU
-// reports AVX2 with OS-enabled YMM state (see detectAVX2), the row count
+// reports AVX2 with OS-enabled YMM state (see cpufeat.AVX2), the row count
 // fits the int32 accumulator bound, and the matrix is at least one block
 // wide. Callers fall back to the pair or scalar kernels on nil.
 
@@ -54,7 +58,7 @@ type BlockedMatrix struct {
 // narrower than one block; callers fall back to another kernel. Safe for
 // concurrent use.
 func (m *Matrix) Blocked() *BlockedMatrix {
-	if !hasAVX2 || m.Rows > maxBlockedRows || m.Cols < blockedColWidth {
+	if !cpufeat.AVX2 || m.Rows > maxBlockedRows || m.Cols < blockedColWidth {
 		return nil
 	}
 	m.memo.Lock()

@@ -3,6 +3,8 @@ package quant
 import (
 	"math/rand"
 	"testing"
+
+	"autohet/internal/cpufeat"
 )
 
 // TestBlockedMatchesReference checks the AVX2 blocked kernel bit-exactly
@@ -10,15 +12,15 @@ import (
 // exercise every tail: odd rows (scalar tail row), cols % 16 ≠ 0 (scalar
 // column tail), single-member and wide batches, extreme codes (±128, 255).
 func TestBlockedMatchesReference(t *testing.T) {
-	if !hasAVX2 {
+	if !cpufeat.AVX2 {
 		t.Skip("no AVX2 blocked kernel on this CPU")
 	}
 	shapes := []struct{ rows, cols, B int }{
 		{2, 16, 1},
-		{3, 16, 2},   // odd rows
-		{64, 48, 8},  // multiple blocks
-		{65, 50, 5},  // odd rows + column tail
-		{1, 17, 3},   // rp == 0: tail row only
+		{3, 16, 2},  // odd rows
+		{64, 48, 8}, // multiple blocks
+		{65, 50, 5}, // odd rows + column tail
+		{1, 17, 3},  // rp == 0: tail row only
 		{200, 16, 33},
 		{7, 31, 4},
 	}

@@ -2,9 +2,9 @@
 
 package quant
 
-// Non-amd64 builds have no AVX2 kernel; Matrix.Blocked() always returns
-// nil and callers fall back to the pair or scalar kernels.
-const hasAVX2 = false
+// Non-amd64 builds have no AVX2 kernel; cpufeat.AVX2 is false there, so
+// Matrix.Blocked() always returns nil and callers fall back to the pair or
+// scalar kernels.
 
 func maddBlock(w *int8, u *uint16, acc *int32, rowPairs int) {
 	panic("quant: maddBlock called without AVX2 support")

@@ -76,9 +76,21 @@ type Agent struct {
 	Noise      *OUNoise
 	Pool       *Replay
 
-	criticIn []float64 // scratch: state ++ action
+	// Update's buffers, reused by every call: the sampled minibatch, one
+	// chunk of critic inputs (state rows then the action row,
+	// feature-major), per-sample targets and output gradients, and the
+	// chunk positions of non-terminal samples.
+	batch    []Transition
+	criticIn []float64
+	y, grad  []float64
+	live     []int
 	updates  int
 }
+
+// updateChunk is the most samples Update pushes through a network at once.
+// 32 fills the GEMM kernel's widest column block while keeping the shared
+// batch scratch small.
+const updateChunk = 32
 
 // NewAgent builds a DDPG agent. Targets start as copies of the online
 // networks.
@@ -116,7 +128,11 @@ func NewAgent(cfg AgentConfig) *Agent {
 		criticOpt:    nn.NewAdam(critic, cfg.CriticLR),
 		Noise:        NewOUNoise(rng, cfg.Sigma),
 		Pool:         NewReplay(cfg.Capacity),
-		criticIn:     make([]float64, cfg.StateDim+1),
+		batch:        make([]Transition, cfg.Batch),
+		criticIn:     make([]float64, (cfg.StateDim+1)*updateChunk),
+		y:            make([]float64, updateChunk),
+		grad:         make([]float64, updateChunk),
+		live:         make([]int, updateChunk),
 	}
 	if cfg.TwinCritics {
 		critic2 := nn.NewNetwork(rng, cfg.StateDim+1,
@@ -131,7 +147,20 @@ func NewAgent(cfg AgentConfig) *Agent {
 			a.cfg.PolicyDelay = 2
 		}
 	}
+	a.shareScratch()
 	return a
+}
+
+// shareScratch gives every network of one shape a single batch scratch:
+// Update runs them one after another, each Backward right after its own
+// network's Forward.
+func (a *Agent) shareScratch() {
+	a.ActorTarget.ShareScratch(a.Actor)
+	a.CriticTarget.ShareScratch(a.Critic)
+	if a.Critic2 != nil {
+		a.Critic2.ShareScratch(a.Critic)
+		a.Critic2Target.ShareScratch(a.Critic)
+	}
 }
 
 // Act returns the deterministic policy action for state, in (0,1).
@@ -148,38 +177,89 @@ func (a *Agent) ActNoisy(state []float64) float64 {
 // Remember stores a transition in the experience pool.
 func (a *Agent) Remember(t Transition) { a.Pool.Add(t) }
 
-// qTarget computes r + γ(1−done)·Q'(s', μ'(s')). With twin critics the
-// target is the clipped-double-Q minimum over both target critics, and the
-// target action carries clipped smoothing noise.
-func (a *Agent) qTarget(t Transition) float64 {
-	if t.Done {
-		return t.Reward
+// loadStates writes the chunk's states — next states with next — into the
+// state rows of criticIn, feature-major, and returns the critic input for
+// the loaded samples. live lists the chunk positions to load; nil loads
+// every sample.
+func (a *Agent) loadStates(ts []Transition, live []int, next bool) []float64 {
+	n, dim := len(ts), a.cfg.StateDim
+	if live != nil {
+		n = len(live)
 	}
-	na := a.ActorTarget.Forward(t.NextState)[0]
-	if a.cfg.TwinCritics && a.cfg.TargetNoise > 0 {
-		noise := mat.Clamp(a.rng.NormFloat64()*a.cfg.TargetNoise, -2*a.cfg.TargetNoise, 2*a.cfg.TargetNoise)
-		na = mat.Clamp(na+noise, 0, 1)
-	}
-	copy(a.criticIn, t.NextState)
-	a.criticIn[a.cfg.StateDim] = na
-	q := a.CriticTarget.Forward(a.criticIn)[0]
-	if a.cfg.TwinCritics {
-		if q2 := a.Critic2Target.Forward(a.criticIn)[0]; q2 < q {
-			q = q2
+	in := a.criticIn[:(dim+1)*n]
+	for c := 0; c < n; c++ {
+		t := &ts[c]
+		if live != nil {
+			t = &ts[live[c]]
+		}
+		st := t.State
+		if next {
+			st = t.NextState
+		}
+		for f, v := range st[:dim] {
+			in[f*n+c] = v
 		}
 	}
-	return t.Reward + a.cfg.Gamma*q
+	return in
+}
+
+// qTargets sets a.y[s] = r + γ(1−done)·Q'(s', μ'(s')) for every sample of
+// the chunk. With twin critics the target is the clipped-double-Q minimum
+// over both target critics, and the target action carries clipped
+// smoothing noise, drawn in sample order.
+func (a *Agent) qTargets(ts []Transition) {
+	live := a.live[:0]
+	for s, t := range ts {
+		a.y[s] = t.Reward
+		if !t.Done {
+			live = append(live, s)
+		}
+	}
+	n, dim := len(live), a.cfg.StateDim
+	if n == 0 {
+		return
+	}
+	in := a.loadStates(ts, live, true)
+	na := a.ActorTarget.ForwardBatch(in[:dim*n], n)
+	for c := range live {
+		act := na[c]
+		if a.cfg.TwinCritics && a.cfg.TargetNoise > 0 {
+			noise := mat.Clamp(a.rng.NormFloat64()*a.cfg.TargetNoise, -2*a.cfg.TargetNoise, 2*a.cfg.TargetNoise)
+			act = mat.Clamp(act+noise, 0, 1)
+		}
+		in[dim*n+c] = act
+	}
+	q := a.grad[:n] // Q' staging; the critic step's gradients come later
+	copy(q, a.CriticTarget.ForwardBatch(in, n))
+	if a.cfg.TwinCritics {
+		for c, q2 := range a.Critic2Target.ForwardBatch(in, n) {
+			if q2 < q[c] {
+				q[c] = q2
+			}
+		}
+	}
+	for c, s := range live {
+		a.y[s] = ts[s].Reward + a.cfg.Gamma*q[c]
+	}
 }
 
 // Update samples one minibatch from the pool and performs one critic step,
 // one actor step, and a soft target update. It returns the critic's mean
 // squared TD error over the batch. It is a no-op returning 0 until the pool
 // holds at least one batch of experience.
+//
+// The batch runs through the networks in chunks of up to updateChunk
+// samples. Gradients still accumulate sample by sample in batch order, so
+// the result is bit-identical to one Forward/Backward pair per sample;
+// gradients nobody reads (the critic's parameters during the actor step,
+// any network's input except the actor step's action column) are never
+// computed.
 func (a *Agent) Update() float64 {
 	if a.Pool.Len() < a.cfg.Batch {
 		return 0
 	}
-	batch := a.Pool.Sample(a.rng, a.cfg.Batch)
+	batch := a.Pool.SampleInto(a.rng, a.batch)
+	dim := a.cfg.StateDim
 
 	// Critics: minimize (Q(s,a) − y)² (both critics see the same targets).
 	a.Critic.ZeroGrad()
@@ -187,17 +267,26 @@ func (a *Agent) Update() float64 {
 		a.Critic2.ZeroGrad()
 	}
 	var tdSum float64
-	for _, t := range batch {
-		y := a.qTarget(t)
-		copy(a.criticIn, t.State)
-		a.criticIn[a.cfg.StateDim] = t.Action
-		q := a.Critic.Forward(a.criticIn)[0]
-		td := q - y
-		tdSum += td * td
-		a.Critic.Backward([]float64{td})
+	for lo := 0; lo < len(batch); lo += updateChunk {
+		ts := batch[lo:min(lo+updateChunk, len(batch))]
+		n := len(ts)
+		a.qTargets(ts)
+		in := a.loadStates(ts, nil, false)
+		for s, t := range ts {
+			in[dim*n+s] = t.Action
+		}
+		grad := a.grad[:n]
+		for s, q := range a.Critic.ForwardBatch(in, n) {
+			td := q - a.y[s]
+			tdSum += td * td
+			grad[s] = td
+		}
+		a.Critic.BackwardBatch(grad, true, 0, 0)
 		if a.Critic2 != nil {
-			q2 := a.Critic2.Forward(a.criticIn)[0]
-			a.Critic2.Backward([]float64{q2 - y})
+			for s, q2 := range a.Critic2.ForwardBatch(in, n) {
+				grad[s] = q2 - a.y[s]
+			}
+			a.Critic2.BackwardBatch(grad, true, 0, 0)
 		}
 	}
 	a.criticOpt.Step(a.Critic, a.cfg.Batch)
@@ -207,19 +296,25 @@ func (a *Agent) Update() float64 {
 	a.updates++
 
 	// Actor (delayed with twin critics): ascend ∇_a Q1(s, μ(s))·∇_θ μ(s).
+	// The critic pass only probes dQ/da, so it skips parameter gradients
+	// and every input gradient but the action's.
 	if a.Critic2 == nil || a.updates%a.cfg.PolicyDelay == 0 {
 		a.Actor.ZeroGrad()
-		for _, t := range batch {
-			act := a.Actor.Forward(t.State)[0]
-			copy(a.criticIn, t.State)
-			a.criticIn[a.cfg.StateDim] = act
-			a.Critic.ZeroGrad() // gradients here are only probes for dQ/da
-			a.Critic.Forward(a.criticIn)
-			dIn := a.Critic.Backward([]float64{1})
-			dQda := dIn[a.cfg.StateDim]
-			a.Actor.Backward([]float64{-dQda}) // minimize −Q
+		for lo := 0; lo < len(batch); lo += updateChunk {
+			ts := batch[lo:min(lo+updateChunk, len(batch))]
+			n := len(ts)
+			in := a.loadStates(ts, nil, false)
+			copy(in[dim*n:], a.Actor.ForwardBatch(in[:dim*n], n))
+			a.Critic.ForwardBatch(in, n)
+			grad := a.grad[:n]
+			for s := range grad {
+				grad[s] = 1
+			}
+			for s, dQda := range a.Critic.BackwardBatch(grad, false, dim, dim+1) {
+				grad[s] = -dQda // minimize −Q
+			}
+			a.Actor.BackwardBatch(grad, true, 0, 0)
 		}
-		a.Critic.ZeroGrad()
 		a.actorOpt.Step(a.Actor, a.cfg.Batch)
 
 		// Soft target tracking, on the actor's cadence.

@@ -56,12 +56,18 @@ func (r *Replay) Cap() int { return cap(r.buf) }
 // Sample draws n transitions uniformly with replacement. It panics if the
 // pool is empty.
 func (r *Replay) Sample(rng *rand.Rand, n int) []Transition {
+	return r.SampleInto(rng, make([]Transition, n))
+}
+
+// SampleInto fills dst with transitions drawn uniformly with replacement —
+// the same draws Sample(rng, len(dst)) makes — and returns it. It panics if
+// the pool is empty.
+func (r *Replay) SampleInto(rng *rand.Rand, dst []Transition) []Transition {
 	if len(r.buf) == 0 {
 		panic("rl: sampling from empty replay")
 	}
-	out := make([]Transition, n)
-	for i := range out {
-		out[i] = r.buf[rng.Intn(len(r.buf))]
+	for i := range dst {
+		dst[i] = r.buf[rng.Intn(len(r.buf))]
 	}
-	return out
+	return dst
 }

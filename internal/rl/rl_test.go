@@ -44,6 +44,24 @@ func TestReplaySample(t *testing.T) {
 	}
 }
 
+func TestReplaySampleIntoMatchesSample(t *testing.T) {
+	r := NewReplay(16)
+	for i := 0; i < 16; i++ {
+		r.Add(Transition{Reward: float64(i)})
+	}
+	want := r.Sample(rand.New(rand.NewSource(3)), 9)
+	dst := make([]Transition, 9)
+	got := r.SampleInto(rand.New(rand.NewSource(3)), dst)
+	if &got[0] != &dst[0] {
+		t.Fatal("SampleInto did not fill dst")
+	}
+	for i := range want {
+		if got[i].Reward != want[i].Reward {
+			t.Fatalf("draw %d: SampleInto %v, Sample %v", i, got[i].Reward, want[i].Reward)
+		}
+	}
+}
+
 func TestReplayPanics(t *testing.T) {
 	func() {
 		defer func() {

@@ -64,7 +64,8 @@ func LoadAgent(r io.Reader) (*Agent, error) {
 		}
 		*slot = net
 	}
-	// Rebind the optimizers to the loaded networks.
+	// Rebind the shared scratch and the optimizers to the loaded networks.
+	a.shareScratch()
 	a.actorOpt = nn.NewAdam(a.Actor, hdr.Cfg.ActorLR)
 	a.criticOpt = nn.NewAdam(a.Critic, hdr.Cfg.CriticLR)
 	if hdr.Cfg.TwinCritics {
