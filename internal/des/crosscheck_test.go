@@ -22,7 +22,10 @@ import (
 //  3. Queue-aware policies (jsq/lo/p2c) read racy wall-clock queue lengths
 //     in the goroutine runtime but exact virtual backlogs here, so the
 //     assignments differ; with fill dominating the latency (100× interval)
-//     the distributions still have to agree to a few percent.
+//     the distributions still have to agree to a few percent. The goroutine
+//     runtime is paced for this rung: free-running, its queue lengths
+//     follow goroutine scheduling, and a starved CPU lets one replica
+//     loop drain ahead and soak up virtual backlog.
 
 func statPairs(got *Result, meanNS, p50, p95, p99, maxNS float64) []struct {
 	name      string
@@ -89,12 +92,12 @@ func specs16() []fleet.ReplicaSpec {
 	return specs
 }
 
-// runBoth drives the goroutine fleet (free-running TimeScale) and the DES
-// fleet over the same workload and policy.
-func runBoth(t *testing.T, policy fleet.Policy, specs []fleet.ReplicaSpec, w fleet.Workload) (*fleet.Result, *Result) {
+// runBoth drives the goroutine fleet (at the given wall-clock TimeScale) and
+// the DES fleet over the same workload and policy.
+func runBoth(t *testing.T, policy fleet.Policy, specs []fleet.ReplicaSpec, w fleet.Workload, timeScale float64) (*fleet.Result, *Result) {
 	t.Helper()
 	gcfg := fleet.DefaultConfig()
-	gcfg.TimeScale = 1e-9
+	gcfg.TimeScale = timeScale
 	gcfg.QueueDepth = w.Requests
 	gcfg.Policy = policy
 	gf, err := fleet.New(gcfg, specs...)
@@ -124,7 +127,7 @@ func runBoth(t *testing.T, policy fleet.Policy, specs []fleet.ReplicaSpec, w fle
 // TestCrossCheckGoroutineRoundRobin: rung 2 — exact distribution parity.
 func TestCrossCheckGoroutineRoundRobin(t *testing.T) {
 	w := fleet.Workload{ArrivalRate: 4e7, Requests: 4000, Seed: 5}
-	want, got := runBoth(t, fleet.RoundRobin, specs16(), w)
+	want, got := runBoth(t, fleet.RoundRobin, specs16(), w, 1e-9)
 	if got.Completed != want.Completed || got.Shed != want.Shed {
 		t.Fatalf("des %d completed %d shed, goroutine %d completed %d shed",
 			got.Completed, got.Shed, want.Completed, want.Shed)
@@ -149,7 +152,10 @@ func TestCrossCheckGoroutineQueueAware(t *testing.T) {
 	// Half the aggregate capacity of 8 × 1e7 rps.
 	w := fleet.Workload{ArrivalRate: 4e7, Requests: 4000, Seed: 7}
 	for _, policy := range []fleet.Policy{fleet.JoinShortestQueue, fleet.LeastOutstanding, fleet.PowerOfTwo} {
-		want, got := runBoth(t, policy, specs, w)
+		// 1e4 wall ns per virtual ns: the 100 µs virtual trace takes 1 s,
+		// so millisecond scheduler stalls stay well under one interval
+		// of virtual skew.
+		want, got := runBoth(t, policy, specs, w, 1e4)
 		if got.Completed != want.Completed {
 			t.Fatalf("%s: des completed %d, goroutine %d", policy, got.Completed, want.Completed)
 		}

@@ -492,16 +492,26 @@ func TestRunValidationAndSummary(t *testing.T) {
 }
 
 func TestSeedZeroMatchesServingDefault(t *testing.T) {
+	w := Workload{ArrivalRate: 5e6, Requests: 300}
 	run := func(seed int64) *Result {
-		f, err := New(freeRunning(), ReplicaSpec{Pipeline: fastPipeline()})
+		// A free-running submitter can outrun the replica loop; a queue
+		// that holds the whole trace keeps shedding (and so the completed
+		// set) independent of goroutine scheduling.
+		cfg := freeRunning()
+		cfg.QueueDepth = w.Requests
+		f, err := New(cfg, ReplicaSpec{Pipeline: fastPipeline()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(f, Workload{ArrivalRate: 5e6, Requests: 300, Seed: seed})
+		w.Seed = seed
+		res, err := Run(f, w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
+		if res.Completed != w.Requests {
+			t.Fatalf("seed %d: completed %d of %d (shed %d)", seed, res.Completed, w.Requests, res.Shed)
+		}
 		return res
 	}
 	zero, def := run(0), run(42)
