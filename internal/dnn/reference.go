@@ -46,7 +46,9 @@ func ConvRef(l *Layer, in *Tensor, w *mat.Matrix) *Tensor {
 	return out
 }
 
-// PoolMaxRef computes a max-pooling layer.
+// PoolMaxRef computes a max-pooling layer. Each window starts from its
+// top-left element and scans rows then columns, clipped to the map,
+// keeping the first strictly greater value.
 func PoolMaxRef(l *Layer, in *Tensor) *Tensor {
 	if l.Kind != Pool {
 		panic("dnn: PoolMaxRef on non-POOL layer " + l.Name)
@@ -54,21 +56,25 @@ func PoolMaxRef(l *Layer, in *Tensor) *Tensor {
 	outH := convOut(in.H, l.K, l.Stride, 0)
 	outW := convOut(in.W, l.K, l.Stride, 0)
 	out := NewTensor(in.C, outH, outW)
+	inPlane, outPlane := in.H*in.W, outH*outW
 	for c := 0; c < in.C; c++ {
+		src := in.Data[c*inPlane : (c+1)*inPlane]
+		dst := out.Data[c*outPlane : (c+1)*outPlane]
 		for oy := 0; oy < outH; oy++ {
+			y0 := oy * l.Stride
+			y1 := min(y0+l.K, in.H)
 			for ox := 0; ox < outW; ox++ {
-				best := in.At(c, oy*l.Stride, ox*l.Stride)
-				for ky := 0; ky < l.K; ky++ {
-					for kx := 0; kx < l.K; kx++ {
-						y, x := oy*l.Stride+ky, ox*l.Stride+kx
-						if y < in.H && x < in.W {
-							if v := in.At(c, y, x); v > best {
-								best = v
-							}
+				x0 := ox * l.Stride
+				x1 := min(x0+l.K, in.W)
+				best := src[y0*in.W+x0]
+				for y := y0; y < y1; y++ {
+					for _, v := range src[y*in.W+x0 : y*in.W+x1] {
+						if v > best {
+							best = v
 						}
 					}
 				}
-				out.Set(c, oy, ox, best)
+				dst[oy*outW+ox] = best
 			}
 		}
 	}

@@ -57,32 +57,40 @@ func (t *Tensor) Patch(l *Layer, oy, ox int) []float64 {
 
 // PatchInto is Patch writing into dst, which must have length C·k² — the
 // allocation-free form the sliding-window inference loop reuses per worker.
+// It copies each window row straight out of the channel's row in Data: the
+// window's in-map columns are clipped once per call, rows per window row,
+// and everything clipped is written as zero padding.
 func (t *Tensor) PatchInto(dst []float64, l *Layer, oy, ox int) []float64 {
 	if l.Kind != Conv {
 		panic("dnn: Patch on non-CONV layer " + l.Name)
 	}
 	k := l.K
-	out := dst
-	if len(out) != t.C*k*k {
-		panic(fmt.Sprintf("dnn: patch buffer %d, want %d", len(out), t.C*k*k))
+	if len(dst) != t.C*k*k {
+		panic(fmt.Sprintf("dnn: patch buffer %d, want %d", len(dst), t.C*k*k))
 	}
 	y0 := oy*l.Stride - l.Pad
 	x0 := ox*l.Stride - l.Pad
+	// Window columns [kx0, kx1) fall inside the map.
+	kx0, kx1 := max(0, -x0), min(k, t.W-x0)
+	plane := t.H * t.W
 	i := 0
 	for c := 0; c < t.C; c++ {
+		ch := t.Data[c*plane : (c+1)*plane]
 		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				y, x := y0+ky, x0+kx
-				if y >= 0 && y < t.H && x >= 0 && x < t.W {
-					out[i] = t.At(c, y, x)
-				} else {
-					out[i] = 0 // zero padding; dst may be reused
-				}
-				i++
+			d := dst[i : i+k]
+			i += k
+			y := y0 + ky
+			if y < 0 || y >= t.H || kx0 >= kx1 {
+				clear(d) // zero padding; dst may be reused
+				continue
 			}
+			row := ch[y*t.W+x0+kx0 : y*t.W+x0+kx1]
+			clear(d[:kx0])
+			copy(d[kx0:kx1], row)
+			clear(d[kx1:])
 		}
 	}
-	return out
+	return dst
 }
 
 // SyntheticTensor returns a deterministic tensor with values in [0, 1)

@@ -119,6 +119,18 @@ func (pb *PackedBatch) setMember(k int) {
 // QuantizeInput does for a single vector (per-member scale from its own
 // max, negatives clamped, round-to-nearest), caches its code sum, and —
 // when digits is set — packs its digit words.
+//
+// The ratio r = v/scale is the same exact division QuantizeInput makes;
+// only the rounding differs in form. For 0 ≤ r < 255.5 the code is
+// ⌊r⌋, plus one when r−⌊r⌋ ≥ 0.5: the conversion truncates exactly, the
+// subtraction is exact (Sterbenz: ⌊r⌋ ≤ r < 2⌊r⌋ once ⌊r⌋ ≥ 1, and r−0 = r
+// below that), so the comparison sees the true fraction and ties round
+// away from zero — math.Round's result, bit for bit, without its call.
+// Everything else (r ≥ 255.5, which clamps to 255, and NaN from an
+// infinite or NaN activation) takes the math.Round path, its value
+// summed in float so that a NaN ratio makes USums NaN. Codes are summed
+// as integers: every partial sum is an integer below 2⁵³, so the float
+// total equals the per-element float sum it replaces.
 func (pb *PackedBatch) quantizeMember(k int, x []float64, digits bool) {
 	var maxV float64
 	for _, v := range x {
@@ -132,19 +144,31 @@ func (pb *PackedBatch) quantizeMember(k int, x []float64, digits bool) {
 	}
 	pb.Scales[k] = scale
 	u := pb.Member(k)
-	var sum float64
+	u = u[:len(x)] // lets the compiler drop the bounds check on u[i]
+	var sum int
+	var slow float64
 	for i, v := range x {
 		if v < 0 {
 			v = 0
 		}
-		r := math.Round(v / scale)
+		r := v / scale
+		if r < 255.5 {
+			c := int(r)
+			if r-float64(c) >= 0.5 {
+				c++
+			}
+			u[i] = uint8(c)
+			sum += c
+			continue
+		}
+		r = math.Round(r)
 		if r > 255 {
 			r = 255
 		}
 		u[i] = uint8(r)
-		sum += r
+		slow += r
 	}
-	pb.USums[k] = sum
+	pb.USums[k] = float64(sum) + slow
 	if digits {
 		pb.setMember(k)
 	}

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -203,5 +204,126 @@ func TestQuantizeBatchFlatZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("warm QuantizeBatchFlatInto allocates %.2f times per call, want 0", avg)
+	}
+}
+
+// quantizeMemberRound is the batch quantizer as first written — math.Round
+// on the exact ratio, codes summed in float — kept as the reference the
+// trunc-and-compare rounding must reproduce bit for bit.
+func quantizeMemberRound(x []float64) (codes []uint8, scale, usum float64) {
+	var maxV float64
+	for _, v := range x {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	scale = maxV / float64((1<<InputBits)-1)
+	if scale == 0 {
+		scale = 1
+	}
+	codes = make([]uint8, len(x))
+	for i, v := range x {
+		if v < 0 {
+			v = 0
+		}
+		r := math.Round(v / scale)
+		if r > 255 {
+			r = 255
+		}
+		codes[i] = uint8(r)
+		usum += r
+	}
+	return codes, scale, usum
+}
+
+// TestQuantizeBatchRoundingExact pins the batch quantizer's codes, Scales
+// and USums to the math.Round reference on the inputs where a rounding
+// shortcut goes wrong: every exact .5 tie from 0.5 to 254.5 and both
+// math.Nextafter neighbours (scale 1, so r = v), ratios at and past 255.5
+// (a subnormal max whose scale rounds down), −0, negatives, an all-zero
+// member, NaN and ±Inf.
+func TestQuantizeBatchRoundingExact(t *testing.T) {
+	var ties []float64
+	for k := 0; k < 255; k++ {
+		h := float64(k) + 0.5
+		ties = append(ties, h, math.Nextafter(h, 0), math.Nextafter(h, 256))
+	}
+	ties = append(ties, 255) // the max: scale = 255/255 = 1
+	n := len(ties)
+	rng := rand.New(rand.NewSource(11))
+	member := func(fill func(i int) float64) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = fill(i)
+		}
+		return x
+	}
+	// 637 subnormal units scale to ⌊637/255⌉ = 2 units, so r runs to 318.5
+	// and hits 254.5, 255, 255.5 and 256 exactly.
+	unit := math.SmallestNonzeroFloat64
+	sub := []float64{637, 511, 510, 509, 1, 0}
+	members := [][]float64{
+		ties,
+		member(func(i int) float64 {
+			if i < len(sub) {
+				return sub[i] * unit
+			}
+			return float64(rng.Intn(638)) * unit
+		}),
+		member(func(i int) float64 {
+			switch i % 4 {
+			case 0:
+				return math.Copysign(0, -1)
+			case 1:
+				return -rng.Float64() * 3
+			}
+			return rng.Float64() * 3
+		}),
+		make([]float64, n), // all zero: scale falls back to 1
+		member(func(i int) float64 {
+			if i%7 == 3 {
+				return math.NaN()
+			}
+			return rng.Float64() * 9
+		}),
+		member(func(i int) float64 {
+			if i == 5 {
+				return math.Inf(1)
+			}
+			return rng.Float64()
+		}),
+		member(func(i int) float64 {
+			if i%2 == 0 {
+				return math.Inf(-1)
+			}
+			return rng.Float64() * 40
+		}),
+		member(func(int) float64 { return rng.Float64() * 17.3 }),
+	}
+	b := len(members)
+	flat := make([]float64, 0, n*b)
+	for _, x := range members {
+		flat = append(flat, x...)
+	}
+	for name, pb := range map[string]*PackedBatch{
+		"codes":  QuantizeBatchFlatCodesInto(nil, flat, n, b),
+		"digits": QuantizeBatchFlatInto(nil, flat, n, b),
+		"slices": QuantizeBatchInto(nil, members),
+	} {
+		for k, x := range members {
+			codes, scale, usum := quantizeMemberRound(x)
+			if pb.Scales[k] != scale {
+				t.Fatalf("%s member %d: scale %v, want %v", name, k, pb.Scales[k], scale)
+			}
+			if got := pb.USums[k]; got != usum && !(math.IsNaN(got) && math.IsNaN(usum)) {
+				t.Fatalf("%s member %d: usum %v, want %v", name, k, got, usum)
+			}
+			for i, c := range pb.Member(k) {
+				if c != codes[i] {
+					t.Fatalf("%s member %d row %d (x=%v, r=%v): code %d, want %d",
+						name, k, i, x[i], x[i]/scale, c, codes[i])
+				}
+			}
+		}
 	}
 }

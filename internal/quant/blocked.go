@@ -22,7 +22,8 @@ import (
 // directly — no offset-binary correction term — which is exactly the fast
 // path's contract (integerMVMInto). Every intermediate is an exact integer,
 // so the result is bit-identical to the scalar reference; equivalence is
-// asserted by FuzzBatchedMVM and the sim engine oracle tests.
+// asserted by FuzzBlockedMVM (FuzzBatchedMVM stays below one block width)
+// and the sim engine oracle tests.
 //
 // The kernel is gated at runtime: Blocked() returns nil unless the CPU
 // reports AVX2 with OS-enabled YMM state (see cpufeat.AVX2), the row count
@@ -114,11 +115,14 @@ func (bm *BlockedMatrix) checkBlockedShapes(pb *PackedBatch, outLen, scratchLen 
 //
 // (note: no offset term — this is the fast path's signed contract, equal to
 // the offset-binary kernels' result minus offset·Σu). out is member-major
-// (length B·Cols, overwritten); u16 is caller scratch of length ≥ B·N that
-// holds the batch's input codes widened to the uint16 lanes VPMADDWD
-// consumes. The weight block is the outer loop so each block's RowPairs×32
-// bytes stay cache-resident while the member loop reuses them — the batched
-// amortization mirrors the bit-plane and pair kernels.
+// (length B·Cols) and every element is overwritten, so it need not arrive
+// cleared; u16 is caller scratch of length ≥ B·N that holds the batch's
+// input codes widened to the uint16 lanes VPMADDWD consumes. The weight
+// block is the outer loop so each block's RowPairs×32 bytes stay
+// cache-resident while the member loop reuses them — the batched
+// amortization mirrors the bit-plane and pair kernels. Members run in
+// groups of four through maddBlock4, which widens each weight row pair
+// once for all four; the last B%4 members run through maddBlock.
 func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16) {
 	bm.checkBlockedShapes(pb, len(out), len(u16))
 	N, B := pb.N, pb.B
@@ -128,30 +132,42 @@ func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16) 
 		u16[i] = uint16(c)
 	}
 	blkStride := rp * 2 * blockedColWidth
-	var acc [blockedColWidth]int32
+	var acc [4 * blockedColWidth]int32
 	for bi := 0; bi < nb; bi++ {
 		j0 := bi * blockedColWidth
 		var wblk []int8
 		if rp > 0 {
 			wblk = bm.Data[bi*blkStride : (bi+1)*blkStride]
 		}
-		for k := 0; k < B; k++ {
-			acc = [blockedColWidth]int32{}
-			if rp > 0 {
-				maddBlock(&wblk[0], &u16[k*N], &acc[0], rp)
+		for k := 0; k < B; {
+			g := 1
+			if B-k >= 4 {
+				g = 4
 			}
-			if 2*rp < N { // odd tail row, scalar
-				if uv := int32(pb.U[k*N+N-1]); uv != 0 {
-					row := bm.q[(N-1)*cols+j0 : (N-1)*cols+j0+blockedColWidth]
-					for j, q := range row {
-						acc[j] += int32(q) * uv
-					}
+			acc = [4 * blockedColWidth]int32{}
+			if rp > 0 {
+				if g == 4 {
+					maddBlock4(&wblk[0], &u16[k*N], N, &acc[0], rp)
+				} else {
+					maddBlock(&wblk[0], &u16[k*N], &acc[0], rp)
 				}
 			}
-			o := out[k*cols+j0 : k*cols+j0+blockedColWidth]
-			for j := range o {
-				o[j] = float64(acc[j])
+			for m := 0; m < g; m++ {
+				a := acc[m*blockedColWidth : (m+1)*blockedColWidth]
+				if 2*rp < N { // odd tail row, scalar
+					if uv := int32(pb.U[(k+m)*N+N-1]); uv != 0 {
+						row := bm.q[(N-1)*cols+j0 : (N-1)*cols+j0+blockedColWidth]
+						for j, q := range row {
+							a[j] += int32(q) * uv
+						}
+					}
+				}
+				o := out[(k+m)*cols+j0 : (k+m)*cols+j0+blockedColWidth]
+				for j := range o {
+					o[j] = float64(a[j])
+				}
 			}
+			k += g
 		}
 	}
 	// Trailing Cols%16 columns: scalar column sweep over the source codes.

@@ -78,3 +78,75 @@ func TestBlockedRowBound(t *testing.T) {
 		t.Fatalf("Blocked() must refuse %d rows (bound %d)", m.Rows, maxBlockedRows)
 	}
 }
+
+// FuzzBlockedMVM checks the AVX2 blocked kernel against the scalar signed
+// reference Σ_i q_i·u_i, `==` for every member and column, on the shapes
+// the batched fuzzer cannot reach (it stays below one block width): cols
+// 16–48 (one to three blocks, with and without a column tail), odd and
+// even rows down to a single row (RowPairs == 0: tail row only), and
+// B = 1–33, so every group-of-four remainder meets both maddBlock4 and
+// maddBlock. The payload bytes fill the first pass over the weights and
+// the codes raw, so −128, 127 and 255 occur whenever the payload holds
+// them; each later pass adds its wrap count, so rows and members differ
+// even for short payloads. One seed covers the whole largest shape with
+// extremes, the overflow worst case.
+func FuzzBlockedMVM(f *testing.F) {
+	if !cpufeat.AVX2 {
+		f.Skip("no AVX2 blocked kernel on this CPU")
+	}
+	f.Add(uint8(0), uint8(0), uint8(1), []byte{0x80, 0x7f}, []byte{255})
+	f.Add(uint8(1), uint8(2), uint8(4), []byte{0x80}, []byte{255, 0})
+	f.Add(uint8(16), uint8(3), uint8(32), []byte{0x7f, 0x80, 1, 0xff}, []byte{255, 255, 1})
+	f.Add(uint8(32), uint8(99), uint8(200), []byte{3, 0x80, 0x7f}, []byte{0, 255, 128, 7})
+	extremeW := make([]byte, 199*48)
+	for i := range extremeW {
+		extremeW[i] = 0x80 // -128, with every third weight 127
+		if i%3 == 1 {
+			extremeW[i] = 0x7f
+		}
+	}
+	extremeU := make([]byte, 33*199)
+	for i := range extremeU {
+		extremeU[i] = 255
+	}
+	f.Add(uint8(32), uint8(32), uint8(198), extremeW, extremeU)
+	f.Fuzz(func(t *testing.T, colsRaw, batchRaw, rowsRaw uint8, wdata, xdata []byte) {
+		if len(wdata) == 0 || len(xdata) == 0 {
+			return
+		}
+		cols := 16 + int(colsRaw)%33
+		B := int(batchRaw)%33 + 1
+		rows := int(rowsRaw)%200 + 1
+		m := &Matrix{Rows: rows, Cols: cols, Bits: 8, Scale: 1, Q: make([]int8, rows*cols)}
+		for i := range m.Q {
+			m.Q[i] = int8(wdata[i%len(wdata)] + uint8(i/len(wdata)))
+		}
+		pb := &PackedBatch{}
+		pb.resize(rows, B, false)
+		for i := range pb.U {
+			pb.U[i] = xdata[i%len(xdata)] + uint8(7*(i/len(xdata)))
+		}
+		bw := m.Blocked()
+		if bw == nil {
+			t.Fatalf("%dx%d: Blocked() returned nil with AVX2 available", rows, cols)
+		}
+		out := make([]float64, B*cols)
+		for i := range out {
+			out[i] = -1 // MulBatch must overwrite every element
+		}
+		bw.MulBatch(pb, out, make([]uint16, B*rows))
+		for k := 0; k < B; k++ {
+			u := pb.Member(k)
+			for j := 0; j < cols; j++ {
+				var want int64
+				for i, c := range u {
+					want += int64(m.Q[i*cols+j]) * int64(c)
+				}
+				if got := out[k*cols+j]; got != float64(want) {
+					t.Fatalf("%dx%d B=%d member %d col %d: blocked %v, reference %d",
+						rows, cols, B, k, j, got, want)
+				}
+			}
+		}
+	})
+}

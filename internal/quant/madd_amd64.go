@@ -11,3 +11,11 @@ package quant
 //
 //go:noescape
 func maddBlock(w *int8, u *uint16, acc *int32, rowPairs int)
+
+// maddBlock4 is maddBlock for four batch members sharing one weight block:
+// member m's codes start at u[m·uStride] and its accumulators are
+// acc[16m:16m+16]. Each row pair's weights are widened once for all four.
+// Same preconditions as maddBlock.
+//
+//go:noescape
+func maddBlock4(w *int8, u *uint16, uStride int, acc *int32, rowPairs int)

@@ -426,14 +426,19 @@ func (le *layerExec) quantizeBatch(pb *quant.PackedBatch, flat []float64, n, b i
 }
 
 // applyBatch runs the prepared layer's kernel over the batch packed in
-// s.pb, writing dequantized member-major outputs into out (length B·Cols,
-// overwritten). Shape agreement is the caller's responsibility (checked
-// once per layer, not per batch).
+// s.pb, writing each member's integer MVM result (before dequantization,
+// which the caller fuses into its scatter via emit) member-major into out
+// (length B·Cols, overwritten). The fast kernels overwrite every element;
+// the bit-serial and aggregate kernels accumulate, so out is cleared for
+// them only. Shape agreement is the caller's responsibility (checked once
+// per layer, not per batch).
 func (le *layerExec) applyBatch(s *batchScratch, out []float64, stats *InferenceStats) {
 	pb := s.pb
 	B := pb.B
 	cols := le.w.Cols
-	clear(out)
+	if le.mode != modeFast {
+		clear(out)
+	}
 	switch le.mode {
 	case modeFast:
 		switch {
@@ -466,13 +471,19 @@ func (le *layerExec) applyBatch(s *batchScratch, out []float64, stats *Inference
 	if B > stats.MaxKernelBatch {
 		stats.MaxKernelBatch = B
 	}
-	for k := 0; k < B; k++ {
-		f := pb.Scales[k]
-		o := out[k*cols : (k+1)*cols]
-		for j := range o {
-			o[j] = le.w.ScaleFor(j) * f * o[j]
-		}
+}
+
+// emit is the activation the engine stores for raw kernel output v in
+// column j of a member whose input scale is f: dequantized exactly as the
+// single-vector path does (column scale × input scale × v), then clamped
+// to zero when relu is set and v < 0 — dnn.ReLU's rule, so −0 and NaN
+// pass through as they would there.
+func (le *layerExec) emit(j int, f, v float64, relu bool) float64 {
+	v = le.w.ScaleFor(j) * f * v
+	if relu && v < 0 {
+		return 0
 	}
+	return v
 }
 
 // Run executes one input through the plan's model on the mapped crossbars
@@ -533,19 +544,16 @@ func (e *Engine) RunBatch(inputs []*dnn.Tensor, opts InferenceOptions) ([][]floa
 			for i := range outs {
 				outs[i] = dnn.NewTensor(l.OutC, l.OutH, l.OutW)
 			}
-			if err := e.streamPatchBatches(le, l, curs, outs, kb, &stats); err != nil {
+			if err := e.streamPatchBatches(le, l, curs, outs, kb, l != last, &stats); err != nil {
 				return nil, stats, err
 			}
 			curs = outs
-			if l != last {
-				for _, c := range curs {
-					dnn.ReLU(c.Data)
-				}
-			}
 		case dnn.Pool:
+			start := time.Now()
 			for i := range curs {
 				curs[i] = dnn.PoolMaxRef(l, curs[i])
 			}
+			simStagePool.AddSince(start)
 		case dnn.FC:
 			if flats == nil {
 				flats = make([][]float64, len(curs))
@@ -557,13 +565,8 @@ func (e *Engine) RunBatch(inputs []*dnn.Tensor, opts InferenceOptions) ([][]floa
 			if err != nil {
 				return nil, stats, err
 			}
-			if err := e.runFCBatches(le, flats, kb, &stats); err != nil {
+			if err := e.runFCBatches(le, flats, kb, l != last, &stats); err != nil {
 				return nil, stats, err
-			}
-			if l != last {
-				for _, f := range flats {
-					dnn.ReLU(f)
-				}
 			}
 		}
 	}
@@ -579,11 +582,13 @@ func (e *Engine) RunBatch(inputs []*dnn.Tensor, opts InferenceOptions) ([][]floa
 // streamPatchBatches computes every sliding-window MVM of one conv layer
 // for every input, chunking the global (input, position) index space into
 // kernel batches of ≤ kb patches: each chunk is extracted, quantized, and
-// packed in one pass, then run through the batched kernel. Chunks fan out
-// across a bounded worker pool; chunk boundaries are deterministic and
-// members never mix, so results are schedule-independent. kb shrinks
-// toward n/workers so small layers still occupy the pool.
-func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, curs, outs []*dnn.Tensor, kb int, stats *InferenceStats) error {
+// packed in one pass, then run through the batched kernel, and its outputs
+// are dequantized (ReLU-clamped when relu is set) straight into the output
+// tensors' CHW data. Chunks fan out across a bounded worker pool; chunk
+// boundaries are deterministic and members never mix, so results are
+// schedule-independent. kb shrinks toward n/workers so small layers still
+// occupy the pool.
+func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, curs, outs []*dnn.Tensor, kb int, relu bool, stats *InferenceStats) error {
 	defer simStageStream.AddSince(time.Now())
 	positions := l.OutH * l.OutW
 	patchLen := curs[0].C * l.K * l.K
@@ -600,35 +605,39 @@ func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, curs, outs []*d
 		lo := c * kb
 		hi := min(lo+kb, n)
 		bs := hi - lo
-		start := time.Now()
+		t0 := time.Now()
 		flat := s.flatFor(bs * patchLen)
 		for i := 0; i < bs; i++ {
 			idx := lo + i
 			ii, pos := idx/positions, idx%positions
 			curs[ii].PatchInto(flat[i*patchLen:(i+1)*patchLen], l, pos/l.OutW, pos%l.OutW)
 		}
+		t1 := time.Now()
 		s.pb = le.quantizeBatch(s.pb, flat, patchLen, bs)
-		simStageInputPack.AddSince(start)
+		t2 := time.Now()
 		out := s.outFor(bs * cols)
-		start = time.Now()
 		le.applyBatch(s, out, st)
-		simStageKernel.AddSince(start)
+		t3 := time.Now()
+		// Channel ch of position pos sits at Data[ch·positions + pos].
 		for i := 0; i < bs; i++ {
 			idx := lo + i
 			ii, pos := idx/positions, idx%positions
-			oy, ox := pos/l.OutW, pos%l.OutW
+			dst := outs[ii].Data[pos:]
+			f := s.pb.Scales[i]
 			for ch, v := range out[i*cols : (i+1)*cols] {
-				outs[ii].Set(ch, oy, ox, v)
+				dst[ch*positions] = le.emit(ch, f, v, relu)
 			}
 		}
+		billChunk(t0, t1, t2, t3, time.Now())
 	})
 	return nil
 }
 
 // runFCBatches runs one FC layer over every input's flattened activations,
 // batching across the inputs themselves in chunks of ≤ kb members and
-// replacing each flats[i] with the layer's outputs.
-func (e *Engine) runFCBatches(le *layerExec, flats [][]float64, kb int, stats *InferenceStats) error {
+// replacing each flats[i] with the layer's outputs (ReLU-clamped when relu
+// is set).
+func (e *Engine) runFCBatches(le *layerExec, flats [][]float64, kb int, relu bool, stats *InferenceStats) error {
 	rows, cols := le.w.Rows, le.w.Cols
 	if len(flats[0]) != rows {
 		return lengthErr(len(flats[0]), rows)
@@ -642,22 +651,40 @@ func (e *Engine) runFCBatches(le *layerExec, flats [][]float64, kb int, stats *I
 		lo := c * kb
 		hi := min(lo+kb, n)
 		bs := hi - lo
-		start := time.Now()
+		t0 := time.Now()
 		flat := s.flatFor(bs * rows)
 		for i := 0; i < bs; i++ {
 			copy(flat[i*rows:(i+1)*rows], flats[lo+i])
 		}
+		t1 := time.Now()
 		s.pb = le.quantizeBatch(s.pb, flat, rows, bs)
-		simStageInputPack.AddSince(start)
+		t2 := time.Now()
 		out := s.outFor(bs * cols)
-		start = time.Now()
 		le.applyBatch(s, out, st)
-		simStageKernel.AddSince(start)
+		t3 := time.Now()
 		for i := 0; i < bs; i++ {
-			flats[lo+i] = append(flats[lo+i][:0], out[i*cols:(i+1)*cols]...)
+			dst := flats[lo+i][:0]
+			f := s.pb.Scales[i]
+			for j, v := range out[i*cols : (i+1)*cols] {
+				dst = append(dst, le.emit(j, f, v, relu))
+			}
+			flats[lo+i] = dst
 		}
+		billChunk(t0, t1, t2, t3, time.Now())
 	})
 	return nil
+}
+
+// billChunk bills one kernel batch's steps to the engine's stage counters
+// from the clock read at each step boundary (t0 … t4): im2col (patch or
+// activation gather), act_quantize, kernel, and scatter (dequantize, ReLU
+// and store). input_pack keeps its meaning as im2col + act_quantize.
+func billChunk(t0, t1, t2, t3, t4 time.Time) {
+	simStageIm2col.Add(int64(t1.Sub(t0)))
+	simStageActQuantize.Add(int64(t2.Sub(t1)))
+	simStageInputPack.Add(int64(t2.Sub(t0)))
+	simStageKernel.Add(int64(t3.Sub(t2)))
+	simStageScatter.Add(int64(t4.Sub(t3)))
 }
 
 // runChunks fans chunk indices [0, chunks) across a bounded worker pool

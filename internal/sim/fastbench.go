@@ -58,8 +58,7 @@ func (fk *FastKernels) Batch(flat []float64, n, b int) []float64 {
 	fk.bs.pb = pb
 	cols := fk.w.Cols
 	out := fk.bs.outFor(b * cols)
-	clear(out)
-	switch {
+	switch { // every kernel overwrites out
 	case fk.bw != nil:
 		// Signed product directly — no offset correction term.
 		fk.bw.MulBatch(pb, out, fk.bs.u16For(b*pb.N))

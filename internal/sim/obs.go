@@ -22,6 +22,16 @@ var (
 		"Cumulative sim.Engine stage time in nanoseconds.")
 	simStageKernel = obs.Default.Counter(`autohet_sim_stage_ns_total{stage="kernel"}`,
 		"Cumulative sim.Engine stage time in nanoseconds.")
+	// input_pack's two parts, and the steps after the kernel; billed once
+	// per kernel batch (pool once per layer).
+	simStageIm2col = obs.Default.Counter(`autohet_sim_stage_ns_total{stage="im2col"}`,
+		"Cumulative sim.Engine stage time in nanoseconds.")
+	simStageActQuantize = obs.Default.Counter(`autohet_sim_stage_ns_total{stage="act_quantize"}`,
+		"Cumulative sim.Engine stage time in nanoseconds.")
+	simStageScatter = obs.Default.Counter(`autohet_sim_stage_ns_total{stage="scatter"}`,
+		"Cumulative sim.Engine stage time in nanoseconds.")
+	simStagePool = obs.Default.Counter(`autohet_sim_stage_ns_total{stage="pool"}`,
+		"Cumulative sim.Engine stage time in nanoseconds.")
 
 	simWeightsHit = obs.Default.Counter(`autohet_sim_cache_events_total{cache="weights",event="hit"}`,
 		"sim.Engine per-layer memo lookups by cache and outcome.")
