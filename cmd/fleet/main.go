@@ -21,12 +21,11 @@
 //	fleet -engine des -spec "4*128x128" -replicas 10000 -clusters 100 \
 //	      -trace bursty -requests 1000000 -policy jsq
 //
-// -workers shards a DES fleet into parallel per-cluster simulation lanes
-// (round-robin cluster routing required; results are bit-identical to
-// -workers 1):
+// -cluster-policy sets the cluster-level routing policy separately, e.g.
+// join-shortest-queue within round-robin clusters at 100k replicas:
 //
 //	fleet -engine des -spec "4*128x128" -replicas 100000 -clusters 1000 \
-//	      -trace bursty -requests 10000000 -policy jsq -cluster-policy rr -workers 8
+//	      -trace bursty -requests 10000000 -policy jsq -cluster-policy rr
 //
 // -chaos injects a seeded fault storm (correlated crashes plus fail-slow
 // replicas, timed as fractions of the run) into either engine, and
@@ -69,11 +68,8 @@ type desOpts struct {
 	traceName string
 	replicas  int
 	clusters  int
-	// workers > 1 shards the fleet into parallel cluster lanes (see
-	// des.Config.Workers); clusterPolicy overrides the cluster-level
-	// routing policy ("" = same as the replica policy). The sharded path
-	// needs round-robin cluster routing, e.g. -policy jsq -cluster-policy rr.
-	workers       int
+	// clusterPolicy overrides the cluster-level routing policy ("" = same
+	// as the replica policy).
 	clusterPolicy string
 	// scaleTarget enables the TargetUtilization autoscaler (0 = off);
 	// admitCap enables QueueCap admission control (0 = off).
@@ -135,8 +131,6 @@ func main() {
 		"tile the -spec replicas up to this fleet size (-engine des only; 0 = spec as written)")
 	clusters := flag.Int("clusters", 0,
 		"cluster count for two-level routing (-engine des only; 0 = one cluster per 100 replicas)")
-	workers := flag.Int("workers", 1,
-		"parallel simulation lanes (-engine des only; needs -cluster-policy rr, results identical to -workers 1)")
 	clusterPolicy := flag.String("cluster-policy", "",
 		"cluster-level routing policy (-engine des only; empty = same as -policy)")
 	scaleTarget := flag.Float64("scale-target", 0,
@@ -155,7 +149,7 @@ func main() {
 	flag.Parse()
 
 	dopts := desOpts{engine: *engine, traceName: *traceName, replicas: *replicas,
-		clusters: *clusters, workers: *workers, clusterPolicy: *clusterPolicy,
+		clusters: *clusters, clusterPolicy: *clusterPolicy,
 		scaleTarget: *scaleTarget, admitCap: *admitCap}
 	copts := chaosOpts{on: *chaosOn, at: *chaosAt, mttr: *chaosMTTR, crashFrac: *chaosCrashFrac,
 		slowFrac: *chaosSlowFrac, slowFactor: *chaosSlowFactor, resilience: *resilience}
@@ -524,7 +518,6 @@ func desRun(specs []fleet.ReplicaSpec, policy fleet.Policy, load float64,
 		BatchTimeoutNS: batchTimeoutUS * 1000,
 		QueueDepth:     queue,
 		Seed:           seed,
-		Workers:        dopts.workers,
 	}
 	if sr != nil {
 		cfg.Shards = len(sr.Stages)
@@ -564,9 +557,6 @@ func desRun(specs []fleet.ReplicaSpec, policy fleet.Policy, load float64,
 	}
 
 	fmt.Printf("\n%v\n", res)
-	if dopts.workers > 1 {
-		fmt.Printf("parallel lanes: %d of %d workers requested\n", res.Lanes, dopts.workers)
-	}
 	if res.AdmissionShed > 0 || res.ScaleActions > 0 {
 		fmt.Printf("admission shed %d, autoscaler actions %d\n", res.AdmissionShed, res.ScaleActions)
 	}

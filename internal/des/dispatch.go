@@ -342,14 +342,7 @@ func (f *Fleet) fallback(full *simReplica) *simReplica {
 }
 
 // logf appends one deterministic event-log line when logging is enabled.
-// Lane sub-fleets record structured entries (keyed by the current event's
-// virtual time and class) for the canonical merge instead of writing
-// directly.
 func (f *Fleet) logf(format string, args ...any) {
-	if f.laneSink != nil {
-		f.laneSink.add(f.eng.Now(), logLine(format, args...))
-		return
-	}
 	if f.log == nil {
 		return
 	}

@@ -60,9 +60,7 @@ type Config struct {
 	// the next stage after the priced transfer, and only the final stage
 	// records the request's latency (measured from its original arrival, so
 	// budgets span the whole chain). Sharding requires flat routing
-	// (Clusters == 1) and no resilience stack, and always runs on the serial
-	// engine — Workers > 1 falls back, keeping the byte-identical-log
-	// contract trivially intact.
+	// (Clusters == 1) and no resilience stack.
 	Shards int
 	// StageTransferNS prices the Shards−1 inter-stage activation handoffs
 	// (fleet.Config.StageTransferNS semantics: nil = free, else entry s is
@@ -97,27 +95,12 @@ type Config struct {
 	// Log, when set, receives one line per simulation event. Identical
 	// configs and seeds produce byte-identical logs — the determinism
 	// anchor asserted in tests. Logging a million-request run is large;
-	// leave nil outside tests and small experiments. With Workers > 1 the
-	// canonical virtual-time-ordered merged log is written (byte-identical
-	// to the workers=1 log).
+	// leave nil outside tests and small experiments.
 	Log io.Writer
-	// Workers > 1 shards the clusters into that many lanes, each advanced
-	// by its own engine on its own goroutine under conservative time-window
-	// barriers (see parallel.go). Results are exact: workers=N equals
-	// workers=1 bit for bit. Parallelism engages only for configurations
-	// whose cross-lane interactions are precomputable (Clusters >= workers,
-	// round-robin cluster routing, no PowerOfTwo sampling, no admission
-	// hook, no resilience stack); anything else — and any run that develops
-	// a cross-cluster interaction such as whole-cluster backpressure —
-	// falls back to the serial engine, still exact. Default 1.
+	// Workers must be 0 or 1, both meaning one: the engine runs a single
+	// serial event loop. The field stays so callers that set 1 still build;
+	// any other value is an error.
 	Workers int
-
-	// lane marks a sub-fleet built by the parallel coordinator: skips
-	// global metric registration (the parent owns the series) and uses
-	// laneBounds for the cluster split so lane cluster boundaries match the
-	// parent's exactly.
-	lane       bool
-	laneBounds []int
 }
 
 // DefaultConfig mirrors fleet.DefaultConfig for the fields the DES mode
@@ -190,8 +173,8 @@ func (c *Config) normalize() error {
 	if c.Workers == 0 {
 		c.Workers = 1
 	}
-	if c.Workers < 1 {
-		return fmt.Errorf("des: worker count %d", c.Workers)
+	if c.Workers != 1 {
+		return fmt.Errorf("des: %d workers: parallel simulation was removed, the engine is serial (use 0 or 1)", c.Workers)
 	}
 	if c.Shards == 0 {
 		c.Shards = 1
@@ -234,16 +217,15 @@ func (c *Config) normalize() error {
 // (arrival → dispatch → batch → free) schedules zero closures and zero
 // per-event allocations. Payload conventions are documented per kind.
 const (
-	evArrival     uint16 = iota + 1 // serial arrival chain; i = request id
-	evLaneArrival                   // lane-mode arrival; i = index into lane.arrivals
-	evFree                          // pipeline free; i = replica index
-	evCollect                       // batch collect timeout; i = replica index
-	evControl                       // autoscaler control tick
-	evChaos                         // chaos schedule event; i = index into cfg.Chaos.Events
-	evResolve                       // resilient copy completion; i = replica index, x = completion, p = *reqState
-	evRetry                         // retry backoff expiry; p = *reqState
-	evHedge                         // hedge launch; p = *reqState
-	evStageHop                      // sharded stage handoff; i = id<<16|stage, x = original arrival
+	evArrival  uint16 = iota + 1 // arrival chain; i = request id
+	evFree                       // pipeline free; i = replica index
+	evCollect                    // batch collect timeout; i = replica index
+	evControl                    // autoscaler control tick
+	evChaos                      // chaos schedule event; i = index into cfg.Chaos.Events
+	evResolve                    // resilient copy completion; i = replica index, x = completion, p = *reqState
+	evRetry                      // retry backoff expiry; p = *reqState
+	evHedge                      // hedge launch; p = *reqState
+	evStageHop                   // sharded stage handoff; i = id<<16|stage, x = original arrival
 )
 
 // handle dispatches typed events from the engine to the fleet's handlers.
@@ -251,8 +233,6 @@ func (f *Fleet) handle(kind uint16, i int64, x float64, p any) {
 	switch kind {
 	case evArrival:
 		f.fireArrival(int(i))
-	case evLaneArrival:
-		f.fireLaneArrival(int(i))
 	case evFree:
 		f.onFree(f.replicas[i])
 	case evCollect:
@@ -260,15 +240,7 @@ func (f *Fleet) handle(kind uint16, i int64, x float64, p any) {
 	case evControl:
 		f.controlTick()
 	case evChaos:
-		if s := f.laneSink; s != nil {
-			// Chaos-origin log lines carry the global schedule index so the
-			// merged log can reproduce the serial equal-time order.
-			s.curClass, s.curTie = classChaos, int32(f.laneChaosIdx[i])
-			f.applyChaos(f.cfg.Chaos.Events[i])
-			s.curClass, s.curTie = classNormal, 0
-		} else {
-			f.applyChaos(f.cfg.Chaos.Events[i])
-		}
+		f.applyChaos(f.cfg.Chaos.Events[i])
 	case evResolve:
 		f.resolveCopy(p.(*reqState), f.replicas[i], x)
 	case evRetry:
@@ -458,15 +430,6 @@ type Fleet struct {
 	totalRequests int
 	nextArrivalAt float64
 
-	// Parallel-lane state (see parallel.go). specs is retained on parent
-	// fleets so the coordinator can build lane sub-fleets; the lane* fields
-	// are live only when this fleet runs as one lane of a parallel run.
-	specs         []fleet.ReplicaSpec
-	laneArrivals  []laneArrival
-	laneSched     int // laneArrivals already scheduled as events
-	laneAbort     bool
-	laneSink      *laneLog
-	laneChaosIdx  []int // lane chaos event index -> global schedule index
 	speedupGauge  *gaugeHandle
 	ran           bool
 	clusterBuf    []*simCluster // reusable scratch for degraded-path picks
@@ -568,20 +531,11 @@ func NewFleet(cfg Config, specs ...fleet.ReplicaSpec) (*Fleet, error) {
 		}
 		f.replicas = append(f.replicas, r)
 	}
-	// Contiguous, near-equal cluster split. A lane sub-fleet uses the
-	// parent-supplied boundaries instead so its clusters match the parent's
-	// split of the same replicas exactly.
+	// Contiguous, near-equal cluster split.
 	n := len(f.replicas)
-	bounds := cfg.laneBounds
-	if bounds == nil {
-		bounds = make([]int, cfg.Clusters+1)
-		for ci := 0; ci <= cfg.Clusters; ci++ {
-			bounds[ci] = ci * n / cfg.Clusters
-		}
-	}
 	for ci := 0; ci < cfg.Clusters; ci++ {
-		lo := bounds[ci]
-		hi := bounds[ci+1]
+		lo := ci * n / cfg.Clusters
+		hi := (ci + 1) * n / cfg.Clusters
 		cl := &simCluster{id: ci, name: fmt.Sprintf("c%d", ci), replicas: f.replicas[lo:hi]}
 		for _, r := range cl.replicas {
 			r.cl = cl
@@ -611,10 +565,7 @@ func NewFleet(cfg Config, specs ...fleet.ReplicaSpec) (*Fleet, error) {
 		f.retryBudget = chaos.NewRetryBudget(*cfg.Resilience.Retry)
 	}
 	f.recountSignal()
-	if !cfg.lane {
-		f.specs = append([]fleet.ReplicaSpec(nil), specs...)
-		f.registerMetrics()
-	}
+	f.registerMetrics()
 	return f, nil
 }
 
@@ -653,7 +604,8 @@ func (f *Fleet) Run(w fleet.Workload) (*Result, error) {
 }
 
 // RunTrace offers requests arrivals drawn from gen and runs the simulation
-// to completion. One call per Fleet.
+// to completion. One call per Fleet. A run whose outcome counts do not
+// conserve requests returns an error (see Result.conservation).
 func (f *Fleet) RunTrace(gen trace.Generator, requests int, budgetNS float64) (*Result, error) {
 	if requests <= 0 {
 		return nil, fmt.Errorf("des: request count %d", requests)
@@ -663,15 +615,6 @@ func (f *Fleet) RunTrace(gen trace.Generator, requests int, budgetNS float64) (*
 	}
 	f.ran = true
 	wallStart := time.Now()
-	if f.parallelEligible() {
-		return f.runParallel(gen, requests, budgetNS, wallStart), nil
-	}
-	return f.runSerial(gen, requests, budgetNS, wallStart), nil
-}
-
-// runSerial is the classic single-engine run: the reference semantics every
-// parallel run must reproduce bit for bit.
-func (f *Fleet) runSerial(gen trace.Generator, requests int, budgetNS float64, wallStart time.Time) *Result {
 	f.latencies = make([]float64, 0, requests)
 	if f.cfg.Scaler != nil {
 		f.eng.ScheduleEvent(f.cfg.ControlPeriodNS, evControl, 0, 0, nil)
@@ -688,8 +631,10 @@ func (f *Fleet) runSerial(gen trace.Generator, requests int, budgetNS float64, w
 	events := f.eng.Run()
 
 	res := f.compileResult(requests, events, time.Since(wallStart))
-	res.Lanes = 1
-	return res
+	if err := res.conservation(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // fireArrival handles one evArrival event: admit request id at the current
@@ -718,10 +663,6 @@ type Result struct {
 	LatenciesNS []float64
 	// Events is the number of simulation events fired.
 	Events int64
-	// Lanes is the number of parallel lanes that actually ran: Config.Workers
-	// when the sharded path engaged, 1 for serial runs — including parallel
-	// attempts that fell back mid-run (the exactness escape hatch).
-	Lanes int
 	// VirtualNS is the simulated span (last completion or arrival).
 	VirtualNS float64
 	// WallSeconds is the wall-clock cost of the run; SpeedupVsWall is
@@ -856,6 +797,20 @@ func (f *Fleet) compileResult(requests int, events int64, wall time.Duration) *R
 		})
 	}
 	return res
+}
+
+// conservation checks that every offered request resolved exactly once and
+// that every completion recorded a latency. O(1); RunTrace calls it on
+// every run.
+func (r *Result) conservation() error {
+	if r.Completed+r.Shed+r.Unroutable+r.Expired+r.Failed != r.Offered {
+		return fmt.Errorf("des: conservation: %d completed + %d shed + %d unroutable + %d expired + %d failed != %d offered",
+			r.Completed, r.Shed, r.Unroutable, r.Expired, r.Failed, r.Offered)
+	}
+	if len(r.LatenciesNS) != r.Completed {
+		return fmt.Errorf("des: conservation: %d latencies for %d completions", len(r.LatenciesNS), r.Completed)
+	}
+	return nil
 }
 
 // String summarizes the run.

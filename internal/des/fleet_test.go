@@ -2,6 +2,7 @@ package des
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"autohet/internal/des/trace"
@@ -308,5 +309,58 @@ func TestClusterScaleSmoke(t *testing.T) {
 	}
 	if res.Events < int64(res.Offered) {
 		t.Fatalf("%d events for %d requests", res.Events, res.Offered)
+	}
+}
+
+// The run-time conservation check RunTrace applies to every Result must
+// reject both kinds of imbalance: a request resolved zero or two times,
+// and a completion without a recorded latency.
+func TestResultConservationCheck(t *testing.T) {
+	balanced := func() *Result {
+		r := &Result{LatenciesNS: []float64{1, 2, 3}}
+		r.Offered, r.Completed, r.Shed, r.Unroutable, r.Expired, r.Failed = 10, 3, 2, 1, 3, 1
+		return r
+	}
+	if err := balanced().conservation(); err != nil {
+		t.Fatalf("balanced result rejected: %v", err)
+	}
+	lost := balanced()
+	lost.Expired--
+	if lost.conservation() == nil {
+		t.Fatal("result that lost a request passed the check")
+	}
+	double := balanced()
+	double.Shed++
+	if double.conservation() == nil {
+		t.Fatal("result that resolved a request twice passed the check")
+	}
+	missing := balanced()
+	missing.LatenciesNS = missing.LatenciesNS[:2]
+	if missing.conservation() == nil {
+		t.Fatal("completion without a latency passed the check")
+	}
+}
+
+// Workers 0 and 1 both build the serial engine; anything else is refused
+// rather than silently run serially.
+func TestWorkersValidation(t *testing.T) {
+	for _, w := range []int{0, 1} {
+		cfg := DefaultConfig()
+		cfg.Workers = w
+		f, err := NewFleet(cfg, homogeneous(4, 1000, 100)...)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if _, err := f.Run(fleet.Workload{ArrivalRate: 1e6, Requests: 100}); err != nil {
+			t.Fatalf("workers=%d run: %v", w, err)
+		}
+	}
+	for _, w := range []int{2, -1} {
+		cfg := DefaultConfig()
+		cfg.Workers = w
+		_, err := NewFleet(cfg, homogeneous(4, 1000, 100)...)
+		if err == nil || !strings.Contains(err.Error(), "serial") {
+			t.Fatalf("workers=%d: got %v, want the serial-engine error", w, err)
+		}
 	}
 }

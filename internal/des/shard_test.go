@@ -1,7 +1,6 @@
 package des
 
 import (
-	"bytes"
 	"math"
 	"sort"
 	"testing"
@@ -147,48 +146,6 @@ func TestShardBudgetSpansStagesDES(t *testing.T) {
 	}
 	if res.Expired != 5 || res.Completed != 0 {
 		t.Fatalf("expired %d completed %d, want all 5 expired: %v", res.Expired, res.Completed, res)
-	}
-}
-
-// TestShardWorkersLogByteIdentical: sharded runs always take the serial
-// engine (parallelEligible excludes them), so a Workers=4 sharded run must
-// produce the byte-identical event log of the Workers=1 run — the log
-// contract survives sharding by construction.
-func TestShardWorkersLogByteIdentical(t *testing.T) {
-	build := func(workers int, log *bytes.Buffer) *Result {
-		cfg := DefaultConfig()
-		cfg.Shards = 2
-		cfg.StageTransferNS = []float64{20}
-		cfg.Workers = workers
-		cfg.QueueDepth = 4096
-		cfg.Log = log
-		specs := []fleet.ReplicaSpec{
-			{Pipeline: &sim.PipelineResult{FillNS: 1000, IntervalNS: 100}},
-			{Pipeline: &sim.PipelineResult{FillNS: 1200, IntervalNS: 150}},
-			{Pipeline: &sim.PipelineResult{FillNS: 800, IntervalNS: 120}},
-			{Pipeline: &sim.PipelineResult{FillNS: 900, IntervalNS: 110}},
-		}
-		f, err := NewFleet(cfg, specs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := f.Run(fleet.Workload{ArrivalRate: 3e6, Requests: 800, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	var serial, parallel bytes.Buffer
-	r1 := build(1, &serial)
-	r4 := build(4, &parallel)
-	if r1.Lanes != 1 || r4.Lanes != 1 {
-		t.Fatalf("lanes %d/%d, want sharded runs pinned to the serial engine", r1.Lanes, r4.Lanes)
-	}
-	if serial.Len() == 0 {
-		t.Fatal("empty event log")
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Fatalf("workers=4 sharded log diverges from workers=1 (%d vs %d bytes)", parallel.Len(), serial.Len())
 	}
 }
 

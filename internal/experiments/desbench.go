@@ -15,15 +15,9 @@ type FleetBenchLeg struct {
 	Replicas int `json:"replicas"`
 	Clusters int `json:"clusters"`
 	Requests int `json:"requests"`
-	// Workers is des.Config.Workers for this leg; Lanes is how many
-	// parallel lanes the run actually used (1 when the sharded path was
-	// ineligible or not worthwhile).
-	Workers int `json:"workers"`
-	Lanes   int `json:"lanes"`
 	// Shards is the pipeline-parallel stage count (1 = whole-model
-	// replicas). Sharded legs run flat (one cluster) and serial — the
-	// engine pins sharded runs to the serial path for log determinism — so
-	// they measure the per-hop event cost of chained serving.
+	// replicas). Sharded legs run flat (one cluster), so they measure the
+	// per-hop event cost of chained serving.
 	Shards    int   `json:"shards"`
 	Completed int   `json:"completed"`
 	Shed      int   `json:"shed"`
@@ -38,9 +32,8 @@ type FleetBenchLeg struct {
 	// RequestsPerSec is simulated requests resolved per wall second.
 	RequestsPerSec float64 `json:"requests_per_sec"`
 	// AllocsPerEvent is heap allocations per processed event over the whole
-	// run (process-wide malloc delta, so build cost amortizes in). The
-	// steady-state contract (~0, asserted in internal/des tests) holds on
-	// the serial legs; parallel legs pay lane setup up front.
+	// run (process-wide malloc delta, so build cost amortizes in); the
+	// steady-state contract (~0) is asserted in internal/des tests.
 	AllocsPerEvent float64 `json:"allocs_per_event"`
 	P99US          float64 `json:"p99_us"`
 }
@@ -48,11 +41,11 @@ type FleetBenchLeg struct {
 // FleetBench is the JSON document cmd/experiments -bench fleet writes: the
 // DES engine driven from laptop scale to the cluster-scale 100k-replica /
 // 10M-request recipe, under a bursty MMPP trace with jsq replica routing
-// below round-robin cluster routing (the shardable two-level combination),
-// sweeping Config.Workers at the 10k-replica size.
+// below round-robin cluster routing. The engine is serial, so every leg
+// runs on one core.
 type FleetBench struct {
 	Seed int64 `json:"seed"`
-	// CPUs is GOMAXPROCS during the run — the ceiling on useful Workers.
+	// CPUs is GOMAXPROCS during the run (provenance).
 	CPUs          int    `json:"cpus"`
 	Trace         string `json:"trace"`
 	Policy        string `json:"policy"`
@@ -65,15 +58,12 @@ type FleetBench struct {
 	Legs       []FleetBenchLeg `json:"legs"`
 }
 
-// BenchFleet measures DES fleet simulation cost at 100, 1k, 10k, and 100k
-// replicas at 70% load. The 10k-replica / 1M-request size is re-run at
-// workers 1, 2, 4, and NumCPU to expose the sharded-lane scaling curve; the
-// 100k-replica / 10M-request leg runs at NumCPU.
+// BenchFleet measures DES fleet simulation cost at 100, 1k, 10k (1M
+// requests), and 100k (10M requests) replicas at 70% load.
 func BenchFleet(seed int64) (*FleetBench, error) {
-	ncpu := runtime.GOMAXPROCS(0)
 	b := &FleetBench{
 		Seed:          seed,
-		CPUs:          ncpu,
+		CPUs:          runtime.GOMAXPROCS(0),
 		Trace:         "bursty",
 		Policy:        string(fleet.JoinShortestQueue),
 		ClusterPolicy: string(fleet.RoundRobin),
@@ -82,28 +72,23 @@ func BenchFleet(seed int64) (*FleetBench, error) {
 		Load:          0.7,
 	}
 	type legSpec struct {
-		replicas, clusters, requests, workers, shards int
+		replicas, clusters, requests, shards int
 	}
 	legs := []legSpec{
-		{100, 4, 100_000, 1, 1},
-		{1_000, 32, 300_000, 1, 1},
+		{100, 4, 100_000, 1},
+		{1_000, 32, 300_000, 1},
 	}
 	// Sharded serving legs: the same 1k-replica fleet cut into 1, 2, and 4
 	// pipeline stages (flat routing, as sharding requires). Each extra stage
 	// adds one hop event per request and divides chain capacity by the stage
 	// count, so these legs expose the marginal cost of chained dispatch.
 	for _, k := range []int{1, 2, 4} {
-		legs = append(legs, legSpec{1_000, 1, 300_000, 1, k})
+		legs = append(legs, legSpec{1_000, 1, 300_000, k})
 	}
-	seen := map[int]bool{}
-	for _, w := range []int{1, 2, 4, ncpu} {
-		if w < 1 || seen[w] {
-			continue
-		}
-		seen[w] = true
-		legs = append(legs, legSpec{10_000, 100, 1_000_000, w, 1})
-	}
-	legs = append(legs, legSpec{100_000, 1_000, 10_000_000, ncpu, 1})
+	legs = append(legs,
+		legSpec{10_000, 100, 1_000_000, 1},
+		legSpec{100_000, 1_000, 10_000_000, 1},
+	)
 	for _, l := range legs {
 		cfg := des.DefaultConfig()
 		cfg.Policy = fleet.JoinShortestQueue
@@ -111,7 +96,6 @@ func BenchFleet(seed int64) (*FleetBench, error) {
 		cfg.Clusters = l.clusters
 		cfg.QueueDepth = 64
 		cfg.Seed = seed
-		cfg.Workers = l.workers
 		capacity := float64(l.replicas) * (1e9 / b.IntervalNS)
 		if l.shards > 1 {
 			cfg.Shards = l.shards
@@ -140,8 +124,6 @@ func BenchFleet(seed int64) (*FleetBench, error) {
 			Replicas:       l.replicas,
 			Clusters:       l.clusters,
 			Requests:       l.requests,
-			Workers:        l.workers,
-			Lanes:          res.Lanes,
 			Shards:         l.shards,
 			Completed:      res.Completed,
 			Shed:           res.Shed,
