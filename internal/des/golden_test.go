@@ -182,6 +182,33 @@ func goldenScenarios() []goldenScenario {
 			gen:   func() trace.Generator { return trace.Bursty(1.7e7, 1.8, 4e5, 43) },
 		},
 		{
+			// jsq within round-robin clusters with the full resilience
+			// stack: the 20× fail-slow replicas blow their budgets and trip
+			// their breakers, which reopen on failed probes and close once
+			// the storm ends (20 µs cooldown), so jsq picks must skip open
+			// breakers and claim half-open probes while crashes drain.
+			name:     "jsq_rr_breaker_storm",
+			requests: 20000,
+			budgetNS: 30000,
+			cfg: func() Config {
+				cfg := DefaultConfig()
+				cfg.Policy = fleet.JoinShortestQueue
+				cfg.ClusterPolicy = fleet.RoundRobin
+				cfg.Clusters = 6
+				cfg.QueueDepth = 16
+				cfg.StatsWindowNS = 1e5
+				cfg.Resilience = chaos.DefaultResilience()
+				cfg.Resilience.Breaker.OpenNS = 2e4
+				cfg.Chaos = chaos.Merge(
+					chaos.CrashStorm(4e4, 6e4, names(24), 0.25, 31),
+					chaos.SlowStorm(5e4, 8e4, names(24), 0.25, 20, 31),
+				)
+				return cfg
+			},
+			specs: func() []fleet.ReplicaSpec { return homogeneous(24, 2000, 100) },
+			gen:   func() trace.Generator { return trace.Bursty(1.2e8, 1.8, 1e5, 47) },
+		},
+		{
 			// Pure round-robin at both levels under a heavy-tail trace.
 			name:     "shard_rr",
 			requests: 20000,
