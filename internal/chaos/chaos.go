@@ -25,7 +25,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Kind names a fault-event type.
@@ -78,10 +78,17 @@ type Schedule struct {
 }
 
 // sortEvents orders by time with a stable sort, so equal-time events keep
-// their construction order — the determinism contract.
+// their construction order — the determinism contract. The comparator is
+// the strict < on AtNS, as a three-way result.
 func (s *Schedule) sortEvents() {
-	sort.SliceStable(s.Events, func(i, j int) bool {
-		return s.Events[i].AtNS < s.Events[j].AtNS
+	slices.SortStableFunc(s.Events, func(a, b Event) int {
+		switch {
+		case a.AtNS < b.AtNS:
+			return -1
+		case b.AtNS < a.AtNS:
+			return 1
+		}
+		return 0
 	})
 }
 

@@ -53,26 +53,27 @@ func (f *Fleet) newState(id int, arrival, budget float64) *reqState {
 	return &reqState{id: id, arrival: arrival, budget: budget}
 }
 
-// applyChaos executes one schedule event at the current virtual time.
-// Events naming unknown replicas log and fall through — a schedule may name
+// applyChaos executes one schedule event at the current virtual time on
+// its target r, resolved when RunTrace armed the schedule. Events naming
+// unknown replicas (r == nil) log and fall through — a schedule may name
 // replicas a particular fleet does not have.
-func (f *Fleet) applyChaos(ev chaos.Event) {
+func (f *Fleet) applyChaos(ev chaos.Event, r *simReplica) {
 	now := f.eng.Now()
 	f.chaosEvents.Add(1)
 	if f.logging {
 		f.logf("K t=%.3f kind=%s target=%s v=%g\n", now, ev.Kind, ev.Target, ev.Value)
 	}
-	r := f.replicaByName(ev.Target)
 	if r == nil {
 		return
 	}
+	was := r.dispatchable()
 	switch ev.Kind {
 	case chaos.Crash:
 		if r.crashed {
 			return
 		}
 		r.crashed = true
-		f.refreshDispatch()
+		f.noteDispatch(r, was)
 		if r.collecting {
 			f.eng.Cancel(r.collect)
 			r.collecting = false
@@ -92,7 +93,7 @@ func (f *Fleet) applyChaos(ev chaos.Event) {
 		if r.nextFree < now {
 			r.nextFree = now
 		}
-		f.refreshDispatch()
+		f.noteDispatch(r, was)
 	case chaos.Slow:
 		if ev.Value <= 1 {
 			r.slow = 1
@@ -116,37 +117,29 @@ func (f *Fleet) applyChaos(ev chaos.Event) {
 				r.health = 0
 			}
 		}
-		f.refreshDispatch()
+		f.noteDispatch(r, was)
+		f.recountSignal()
 	}
 }
 
-func (f *Fleet) replicaByName(name string) *simReplica {
-	for _, r := range f.replicas {
-		if r.name == name {
-			return r
-		}
-	}
-	return nil
-}
-
-// refreshDispatch rebuilds per-cluster dispatchable counts and the O(1)
-// signal aggregates after chaos flips a replica's routability.
-func (f *Fleet) refreshDispatch() {
-	for _, cl := range f.clusters {
-		cl.dispatchable = 0
-		for _, r := range cl.replicas {
-			if r.dispatchable() {
-				cl.dispatchable++
-			}
-		}
-	}
-	f.recountSignal()
-}
-
-// route commits the final placement to r's breaker (probe claiming).
+// route commits the final placement to r's breaker (probe claiming). OnRoute
+// on a closed breaker does nothing, so only tripped ones are called.
 func (f *Fleet) route(r *simReplica) {
-	if r.breaker != nil {
+	if r.tripped {
 		r.breaker.OnRoute(f.eng.Now())
+	}
+}
+
+// record feeds one request outcome to r's breaker (nil = off). Only a
+// failure can open a closed breaker and only a success can close a tripped
+// one, so the cached state is refreshed just for those two cases.
+func (f *Fleet) record(r *simReplica, ok bool) {
+	if r.breaker == nil {
+		return
+	}
+	r.breaker.Record(f.eng.Now(), ok)
+	if ok == r.tripped {
+		f.noteBreaker(r)
 	}
 }
 
@@ -167,9 +160,7 @@ func (f *Fleet) anyRoutable() *simReplica {
 // routes). Legacy requests fail outright; resilient ones consult retry.
 func (f *Fleet) failCopy(rq simReq, r *simReplica, reason string) {
 	now := f.eng.Now()
-	if r.breaker != nil {
-		r.breaker.Record(now, false)
-	}
+	f.record(r, false)
 	st := rq.st
 	if st == nil {
 		f.failed.Add(1)

@@ -133,7 +133,9 @@ func (f *Fleet) controlTick() {
 
 // setActive grows the active set from the front of the provisioned pool
 // and shrinks it from the back, keeping cluster dispatch counts and the
-// O(1) signal aggregates current.
+// O(1) signal aggregates current. A crashed replica changes active state
+// without becoming (or ceasing to be) dispatchable, which is why the counts
+// follow dispatchable() rather than health.
 func (f *Fleet) setActive(desired int) {
 	if desired > f.active {
 		for _, r := range f.replicas {
@@ -141,26 +143,22 @@ func (f *Fleet) setActive(desired int) {
 				break
 			}
 			if !r.active {
+				was := r.dispatchable()
 				r.active = true
 				f.active++
 				f.scaleActions++
-				if r.healthy() {
-					r.cl.dispatchable++
-					f.capacityRPS += r.capacityRPS
-				}
+				f.noteDispatch(r, was)
 			}
 		}
 	} else {
 		for i := len(f.replicas) - 1; i >= 0 && f.active > desired; i-- {
 			r := f.replicas[i]
 			if r.active {
+				was := r.dispatchable()
 				r.active = false
 				f.active--
 				f.scaleActions++
-				if r.healthy() {
-					r.cl.dispatchable--
-					f.capacityRPS -= r.capacityRPS
-				}
+				f.noteDispatch(r, was)
 			}
 		}
 	}

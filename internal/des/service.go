@@ -96,9 +96,7 @@ func (f *Fleet) executeBatch(r *simReplica, take int, timedOut bool) {
 			if st := rq.st; st != nil {
 				st.expired = true
 				st.live--
-				if r.breaker != nil {
-					r.breaker.Record(f.eng.Now(), false)
-				}
+				f.record(r, false)
 				if f.logging {
 					f.logf("E t=%.3f id=%d r=%s reason=budget\n", f.eng.Now(), rq.id, r.name)
 				}
@@ -118,9 +116,7 @@ func (f *Fleet) executeBatch(r *simReplica, take int, timedOut bool) {
 			// hedge can still win (see chaos.go).
 			st.live--
 			st.pending++
-			if r.breaker != nil {
-				r.breaker.Record(f.eng.Now(), true)
-			}
+			f.record(r, true)
 			f.eng.AtEvent(completion, evResolve, int64(r.id), completion, st)
 		} else if r.stage < f.cfg.Shards-1 {
 			// Sharded chain: this stage's completion hands the request to the
@@ -152,6 +148,7 @@ func (f *Fleet) executeBatch(r *simReplica, take int, timedOut bool) {
 		kept++
 	}
 	if kept == 0 {
+		f.touch(r)
 		return
 	}
 	r.batches++
@@ -162,7 +159,9 @@ func (f *Fleet) executeBatch(r *simReplica, take int, timedOut bool) {
 	r.busyNS += r.nextFree - entry
 	r.busy = true
 	r.inFlight = kept
+	r.cl.inFlight += kept
 	f.inFlight += kept
+	f.touch(r)
 	f.eng.AtEvent(r.nextFree, evFree, int64(r.id), 0, nil)
 }
 
@@ -170,7 +169,9 @@ func (f *Fleet) executeBatch(r *simReplica, take int, timedOut bool) {
 func (f *Fleet) onFree(r *simReplica) {
 	r.busy = false
 	f.inFlight -= r.inFlight
+	r.cl.inFlight -= r.inFlight
 	r.inFlight = 0
+	f.touch(r)
 	if f.logging {
 		f.logf("F t=%.3f r=%s\n", f.eng.Now(), r.name)
 	}
