@@ -53,9 +53,20 @@ func PoolMaxRef(l *Layer, in *Tensor) *Tensor {
 	if l.Kind != Pool {
 		panic("dnn: PoolMaxRef on non-POOL layer " + l.Name)
 	}
+	return PoolMaxRefInto(l, in, NewTensor(in.C, convOut(in.H, l.K, l.Stride, 0), convOut(in.W, l.K, l.Stride, 0)))
+}
+
+// PoolMaxRefInto is PoolMaxRef writing into out, which must have PoolMaxRef's
+// output shape; every element is overwritten, so out may hold stale data.
+func PoolMaxRefInto(l *Layer, in, out *Tensor) *Tensor {
+	if l.Kind != Pool {
+		panic("dnn: PoolMaxRef on non-POOL layer " + l.Name)
+	}
 	outH := convOut(in.H, l.K, l.Stride, 0)
 	outW := convOut(in.W, l.K, l.Stride, 0)
-	out := NewTensor(in.C, outH, outW)
+	if out.C != in.C || out.H != outH || out.W != outW {
+		panic(fmt.Sprintf("dnn: pool output %dx%dx%d, want %dx%dx%d", out.C, out.H, out.W, in.C, outH, outW))
+	}
 	inPlane, outPlane := in.H*in.W, outH*outW
 	for c := 0; c < in.C; c++ {
 		src := in.Data[c*inPlane : (c+1)*inPlane]

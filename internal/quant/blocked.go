@@ -2,6 +2,7 @@ package quant
 
 import (
 	"fmt"
+	"unsafe"
 
 	"autohet/internal/cpufeat"
 )
@@ -50,7 +51,7 @@ type BlockedMatrix struct {
 	Blocks     int    // full 16-column blocks
 	RowPairs   int    // ⌊Rows/2⌋ interleaved row pairs per block
 	Data       []int8 // Blocks × RowPairs × 32 bytes, layout above
-	q          []int8 // source row-major codes, for the row/column tails
+	q          []int8 // source row-major codes: the row/column tails and the B=1 row gather
 }
 
 // Blocked returns the matrix's SIMD-blocked packing, built once and
@@ -117,14 +118,100 @@ func (bm *BlockedMatrix) checkBlockedShapes(pb *PackedBatch, outLen, scratchLen 
 // the offset-binary kernels' result minus offset·Σu). out is member-major
 // (length B·Cols) and every element is overwritten, so it need not arrive
 // cleared; u16 is caller scratch of length ≥ B·N that holds the batch's
-// input codes widened to the uint16 lanes VPMADDWD consumes. The weight
-// block is the outer loop so each block's RowPairs×32 bytes stay
-// cache-resident while the member loop reuses them — the batched
-// amortization mirrors the bit-plane and pair kernels. Members run in
-// groups of four through maddBlock4, which widens each weight row pair
-// once for all four; the last B%4 members run through maddBlock.
+// input codes widened to the uint16 lanes VPMADDWD consumes (B ≥ 2 only).
+// A single member runs the row-gather kernel (mulOne), which streams only
+// the weight rows its non-zero codes multiply. Larger batches run the
+// blocked kernel (mulBlocked), which streams every row once per batch.
+// The trailing Cols%16 columns are a scalar sweep in both cases.
 func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16) {
 	bm.checkBlockedShapes(pb, len(out), len(u16))
+	if pb.B == 1 {
+		bm.mulOne(pb.U, out)
+	} else {
+		bm.mulBlocked(pb, out, u16)
+	}
+	bm.mulTail(pb, out)
+}
+
+// mulOne computes the blocked columns of one member's product by row
+// gather. A zero code contributes nothing — in the bit-serial pipeline it
+// drives no DAC pulse — so only rows with a non-zero code are read,
+// straight from the row-major q, four at a time through maddRowQuad. The
+// last group is padded with zero-code repeats of one of its rows, so an
+// odd leftover row pairs with itself at code 0. While one group streams,
+// the kernel prefetches the next group's rows: each row is a fresh
+// stream that the hardware prefetcher would only pick up after a few
+// misses. Every product is an exact integer and every partial sum is a sum
+// of at most Rows of them, each of magnitude ≤ 128·255, which the
+// maxBlockedRows bound keeps inside int32; the sums therefore equal the
+// blocked kernel's, whatever the order.
+//
+// out doubles as the int32 accumulator row: Blocks·16 int32s take the first
+// half of the bytes of as many float64s. The conversion then runs from the
+// last block down, so each block's floats overwrite only accumulators that
+// are already converted, and it undoes the kernel's in-lane column order.
+func (bm *BlockedMatrix) mulOne(u []uint8, out []float64) {
+	cols, nb := bm.Cols, bm.Blocks
+	acc := unsafe.Slice((*int32)(unsafe.Pointer(&out[0])), nb*blockedColWidth)
+	clear(acc)
+	row := func(i int) *int8 { return &bm.q[i*cols] }
+	var cur, next rowGroup
+	pos := cur.fill(u, 0)
+	for cur.n > 0 {
+		pos = next.fill(u, pos)
+		pf := &next
+		if next.n == 0 {
+			pf = &cur
+		}
+		maddRowQuad(row(cur.rows[0]), row(cur.rows[1]), row(cur.rows[2]), row(cur.rows[3]),
+			row(pf.rows[0]), row(pf.rows[1]), row(pf.rows[2]), row(pf.rows[3]),
+			cur.codes[0]|cur.codes[1]<<16, cur.codes[2]|cur.codes[3]<<16, &acc[0], nb)
+		cur = next
+	}
+	for bi := nb - 1; bi >= 0; bi-- {
+		var a [blockedColWidth]int32
+		copy(a[:], acc[bi*blockedColWidth:])
+		o := out[bi*blockedColWidth : (bi+1)*blockedColWidth]
+		for t := 0; t < 4; t++ {
+			o[t] = float64(a[t])
+			o[4+t] = float64(a[8+t])
+			o[8+t] = float64(a[4+t])
+			o[12+t] = float64(a[12+t])
+		}
+	}
+}
+
+// rowGroup is one maddRowQuad step of the row gather: n ≤ 4 rows with a
+// non-zero code, padded to four with zero-code repeats of the first.
+type rowGroup struct {
+	rows  [4]int
+	codes [4]uint32
+	n     int
+}
+
+// fill loads g with the next rows with a non-zero code in u, scanning from
+// position i, and returns the position after the last code it read.
+func (g *rowGroup) fill(u []uint8, i int) int {
+	g.n = 0
+	for ; i < len(u) && g.n < 4; i++ {
+		if c := u[i]; c != 0 {
+			g.rows[g.n], g.codes[g.n] = i, uint32(c)
+			g.n++
+		}
+	}
+	for j := g.n; j < 4; j++ {
+		g.rows[j], g.codes[j] = g.rows[0], 0
+	}
+	return i
+}
+
+// mulBlocked computes the blocked columns of a batch of two or more
+// members. The weight block is the outer loop so each block's RowPairs×32
+// bytes stay cache-resident while the member loop reuses them — the
+// batched amortization mirrors the bit-plane and pair kernels. Members run
+// in groups of four through maddBlock4, which widens each weight row pair
+// once for all four; the last B%4 members run through maddBlock.
+func (bm *BlockedMatrix) mulBlocked(pb *PackedBatch, out []float64, u16 []uint16) {
 	N, B := pb.N, pb.B
 	cols, nb, rp := bm.Cols, bm.Blocks, bm.RowPairs
 	u16 = u16[:B*N]
@@ -170,8 +257,13 @@ func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16) 
 			k += g
 		}
 	}
-	// Trailing Cols%16 columns: scalar column sweep over the source codes.
-	if t0 := nb * blockedColWidth; t0 < cols {
+}
+
+// mulTail computes the trailing Cols%16 columns: a scalar column sweep over
+// the source codes that skips zero codes.
+func (bm *BlockedMatrix) mulTail(pb *PackedBatch, out []float64) {
+	N, B, cols := pb.N, pb.B, bm.Cols
+	if t0 := bm.Blocks * blockedColWidth; t0 < cols {
 		tw := cols - t0
 		var tacc [blockedColWidth]int32
 		for k := 0; k < B; k++ {

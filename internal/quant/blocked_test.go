@@ -79,25 +79,30 @@ func TestBlockedRowBound(t *testing.T) {
 	}
 }
 
-// FuzzBlockedMVM checks the AVX2 blocked kernel against the scalar signed
-// reference Σ_i q_i·u_i, `==` for every member and column, on the shapes
-// the batched fuzzer cannot reach (it stays below one block width): cols
-// 16–48 (one to three blocks, with and without a column tail), odd and
-// even rows down to a single row (RowPairs == 0: tail row only), and
-// B = 1–33, so every group-of-four remainder meets both maddBlock4 and
-// maddBlock. The payload bytes fill the first pass over the weights and
-// the codes raw, so −128, 127 and 255 occur whenever the payload holds
-// them; each later pass adds its wrap count, so rows and members differ
-// even for short payloads. One seed covers the whole largest shape with
-// extremes, the overflow worst case.
+// FuzzBlockedMVM checks the AVX2 kernels behind BlockedMatrix.MulBatch
+// against the scalar signed reference Σ_i q_i·u_i, `==` for every member
+// and column, on the shapes the batched fuzzer cannot reach (it stays
+// below one block width): cols 16–48 (one to three blocks, with and
+// without a column tail), odd and even rows down to a single row
+// (RowPairs == 0: tail row only), and B = 1–33, so the single-member
+// row-gather path and every group-of-four remainder of the blocked path
+// (maddBlock4 and maddBlock) are met. The payload bytes fill the first
+// pass over the weights and the codes raw, so −128, 127 and 255 occur
+// whenever the payload holds them; each later pass adds its wrap count,
+// so rows and members differ even for short payloads. zeroRaw then clears
+// zeroRaw/255 of the codes, spread by a fixed permutation (255 clears them
+// all), so the row gather sees sparse inputs and every leftover count of
+// non-zero rows. Seeds cover the whole largest shape with extremes (the
+// overflow worst case) at B = 33 and B = 1, all-zero codes, a single
+// non-zero code, an odd non-zero count and only the last row non-zero.
 func FuzzBlockedMVM(f *testing.F) {
 	if !cpufeat.AVX2 {
 		f.Skip("no AVX2 blocked kernel on this CPU")
 	}
-	f.Add(uint8(0), uint8(0), uint8(1), []byte{0x80, 0x7f}, []byte{255})
-	f.Add(uint8(1), uint8(2), uint8(4), []byte{0x80}, []byte{255, 0})
-	f.Add(uint8(16), uint8(3), uint8(32), []byte{0x7f, 0x80, 1, 0xff}, []byte{255, 255, 1})
-	f.Add(uint8(32), uint8(99), uint8(200), []byte{3, 0x80, 0x7f}, []byte{0, 255, 128, 7})
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(0), []byte{0x80, 0x7f}, []byte{255})
+	f.Add(uint8(1), uint8(2), uint8(4), uint8(0), []byte{0x80}, []byte{255, 0})
+	f.Add(uint8(16), uint8(3), uint8(32), uint8(0), []byte{0x7f, 0x80, 1, 0xff}, []byte{255, 255, 1})
+	f.Add(uint8(32), uint8(99), uint8(200), uint8(0), []byte{3, 0x80, 0x7f}, []byte{0, 255, 128, 7})
 	extremeW := make([]byte, 199*48)
 	for i := range extremeW {
 		extremeW[i] = 0x80 // -128, with every third weight 127
@@ -109,8 +114,22 @@ func FuzzBlockedMVM(f *testing.F) {
 	for i := range extremeU {
 		extremeU[i] = 255
 	}
-	f.Add(uint8(32), uint8(32), uint8(198), extremeW, extremeU)
-	f.Fuzz(func(t *testing.T, colsRaw, batchRaw, rowsRaw uint8, wdata, xdata []byte) {
+	f.Add(uint8(32), uint8(32), uint8(198), uint8(0), extremeW, extremeU)
+	// Single-member seeds for the row-gather path (batchRaw 0 → B = 1).
+	f.Add(uint8(32), uint8(0), uint8(198), uint8(0), extremeW, extremeU[:199])
+	f.Add(uint8(17), uint8(0), uint8(63), uint8(255), []byte{0x80, 0x7f, 5}, []byte{255, 9})
+	sparse := func(rows int, nonZero ...int) []byte {
+		u := make([]byte, rows)
+		for _, i := range nonZero {
+			u[i] = byte(200 + i%56)
+		}
+		return u
+	}
+	f.Add(uint8(16), uint8(0), uint8(99), uint8(0), []byte{0x80, 0x7f, 3}, sparse(100, 41))
+	f.Add(uint8(20), uint8(0), uint8(99), uint8(0), []byte{0x7f, 0x80, 0xfe}, sparse(100, 0, 7, 50, 51, 60, 98, 99))
+	f.Add(uint8(1), uint8(0), uint8(99), uint8(0), []byte{0x80, 0x7f}, sparse(100, 99))
+	f.Add(uint8(32), uint8(0), uint8(150), uint8(128), []byte{0x80, 0x7f, 1, 0xfe}, []byte{255, 3, 128})
+	f.Fuzz(func(t *testing.T, colsRaw, batchRaw, rowsRaw, zeroRaw uint8, wdata, xdata []byte) {
 		if len(wdata) == 0 || len(xdata) == 0 {
 			return
 		}
@@ -125,6 +144,9 @@ func FuzzBlockedMVM(f *testing.F) {
 		pb.resize(rows, B, false)
 		for i := range pb.U {
 			pb.U[i] = xdata[i%len(xdata)] + uint8(7*(i/len(xdata)))
+			if (i*167)%255 < int(zeroRaw) {
+				pb.U[i] = 0
+			}
 		}
 		bw := m.Blocked()
 		if bw == nil {

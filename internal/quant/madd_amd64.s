@@ -104,3 +104,79 @@ pairloop4:
 	VMOVDQU Y7, 224(DX)
 	VZEROUPPER
 	RET
+
+// func maddRowQuad(a, b, c, d, pa, pb, pc, pd *int8, codeAB, codeCD uint32, acc *int32, blocks int)
+//
+// Row-gather step of the single-member kernel (see BlockedMatrix.mulOne):
+// adds q_a[j]·u_a + q_b[j]·u_b + q_c[j]·u_c + q_d[j]·u_d into acc for the
+// first 16·blocks columns of four row-major weight rows, where
+// codeAB = u_a | u_b<<16 and codeCD = u_c | u_d<<16. Per 16-column block
+// each row pair's 16+16 int8 weights are sign-extended (VPMOVSXBW),
+// interleaved word by word (VPUNPCKLWD/VPUNPCKHWD, which work within each
+// 128-bit lane) and multiply-added against the pair's broadcast codes; the
+// two pairs' sums are added and folded into the block's accumulators,
+// which are loaded and stored once per four rows. The in-lane interleave
+// leaves the block's 16 int32 sums in the fixed order acc[0:16] =
+// cols 0–3, 8–11, 4–7, 12–15; the caller undoes it once at the end.
+// Every fourth block (once per 64 bytes of row) it also prefetches the
+// same offset of the rows pa–pd the caller streams next. Overflow is
+// impossible by the maxBlockedRows bound.
+TEXT ·maddRowQuad(SB), NOSPLIT, $0-88
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), DI
+	MOVQ c+16(FP), R8
+	MOVQ d+24(FP), R9
+	MOVQ pa+32(FP), R10
+	MOVQ pb+40(FP), R11
+	MOVQ pc+48(FP), R12
+	MOVQ pd+56(FP), R13
+	MOVL codeAB+64(FP), AX
+	VMOVD AX, X0
+	VPBROADCASTD X0, Y0
+	MOVL codeCD+68(FP), AX
+	VMOVD AX, X1
+	VPBROADCASTD X1, Y1
+	MOVQ acc+72(FP), DX
+	MOVQ blocks+80(FP), CX
+
+quadloop:
+	TESTQ $3, CX
+	JNZ noprefetch
+	PREFETCHT0 (R10)
+	PREFETCHT0 (R11)
+	PREFETCHT0 (R12)
+	PREFETCHT0 (R13)
+
+noprefetch:
+	VPMOVSXBW (SI), Y3
+	VPMOVSXBW (DI), Y4
+	VPMOVSXBW (R8), Y7
+	VPMOVSXBW (R9), Y8
+	VPUNPCKLWD Y4, Y3, Y5
+	VPUNPCKHWD Y4, Y3, Y6
+	VPUNPCKLWD Y8, Y7, Y9
+	VPUNPCKHWD Y8, Y7, Y10
+	VPMADDWD Y0, Y5, Y5
+	VPMADDWD Y0, Y6, Y6
+	VPMADDWD Y1, Y9, Y9
+	VPMADDWD Y1, Y10, Y10
+	VPADDD Y9, Y5, Y5
+	VPADDD Y10, Y6, Y6
+	VPADDD (DX), Y5, Y5
+	VPADDD 32(DX), Y6, Y6
+	VMOVDQU Y5, (DX)
+	VMOVDQU Y6, 32(DX)
+	ADDQ $16, SI
+	ADDQ $16, DI
+	ADDQ $16, R8
+	ADDQ $16, R9
+	ADDQ $16, R10
+	ADDQ $16, R11
+	ADDQ $16, R12
+	ADDQ $16, R13
+	ADDQ $64, DX
+	DECQ CX
+	JNZ quadloop
+
+	VZEROUPPER
+	RET

@@ -13,3 +13,7 @@ func maddBlock(w *int8, u *uint16, acc *int32, rowPairs int) {
 func maddBlock4(w *int8, u *uint16, uStride int, acc *int32, rowPairs int) {
 	panic("quant: maddBlock4 called without AVX2 support")
 }
+
+func maddRowQuad(a, b, c, d, pa, pb, pc, pd *int8, codeAB, codeCD uint32, acc *int32, blocks int) {
+	panic("quant: maddRowQuad called without AVX2 support")
+}

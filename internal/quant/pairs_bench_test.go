@@ -52,3 +52,22 @@ func BenchmarkBlockedMulBatchConv4(b *testing.B) {
 		bw.MulBatch(pb, out, u16)
 	}
 }
+
+// The fc7-shaped (4096×4096, B=1) leg: one member through the row-gather
+// kernel with half of its codes zero, the post-ReLU density AlexNet's fc7
+// sees. SetBytes counts the full matrix's MACs, so MB/s reads as dense-
+// equivalent MMAC/s.
+func BenchmarkBlockedMulBatchFC7B1(b *testing.B) {
+	m, pb := benchKernelSetup(4096, 4096, 1, 0.5)
+	bw := m.Blocked()
+	if bw == nil {
+		b.Skip("no AVX2 blocked kernel on this CPU")
+	}
+	out := make([]float64, m.Cols)
+	u16 := make([]uint16, pb.N)
+	b.SetBytes(int64(m.Rows) * int64(m.Cols))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bw.MulBatch(pb, out, u16)
+	}
+}

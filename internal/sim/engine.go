@@ -39,6 +39,13 @@ type Engine struct {
 	// cycle emptying the pool mid-measurement.
 	scratchMu   sync.Mutex
 	scratchFree []*batchScratch
+
+	// actMu guards the free lists of intermediate activation tensors, by
+	// element count. RunBatch takes each conv and pool output from here and
+	// returns it once the next layer has consumed it, so a warm call
+	// allocates no activation storage and leaves no garbage for the GC.
+	actMu   sync.Mutex
+	actFree map[int][]*dnn.Tensor
 }
 
 type weightKey struct {
@@ -64,6 +71,7 @@ func NewEngine(p *accel.Plan) *Engine {
 		weights:  map[weightKey][]*quant.Matrix{},
 		faulted:  map[faultKey]*quant.PackedMatrix{},
 		repaired: map[repairKey]*RepairedLayer{},
+		actFree:  map[int][]*dnn.Tensor{},
 	}
 }
 
@@ -101,6 +109,38 @@ func (e *Engine) putScratch(s *batchScratch) {
 	e.scratchMu.Lock()
 	defer e.scratchMu.Unlock()
 	e.scratchFree = append(e.scratchFree, s)
+}
+
+// getActs returns n c×h×w activation tensors from the engine's free list,
+// allocating the missing ones. Their contents are stale: every caller
+// overwrites every element.
+func (e *Engine) getActs(n, c, h, w int) []*dnn.Tensor {
+	ts := make([]*dnn.Tensor, n)
+	e.actMu.Lock()
+	free := e.actFree[c*h*w]
+	for i := range ts {
+		if k := len(free); k > 0 {
+			ts[i], free = free[k-1], free[:k-1]
+			ts[i].C, ts[i].H, ts[i].W = c, h, w
+		}
+	}
+	e.actFree[c*h*w] = free
+	e.actMu.Unlock()
+	for i, t := range ts {
+		if t == nil {
+			ts[i] = dnn.NewTensor(c, h, w)
+		}
+	}
+	return ts
+}
+
+// putActs returns tensors from getActs to the free list.
+func (e *Engine) putActs(ts []*dnn.Tensor) {
+	e.actMu.Lock()
+	defer e.actMu.Unlock()
+	for _, t := range ts {
+		e.actFree[len(t.Data)] = append(e.actFree[len(t.Data)], t)
+	}
 }
 
 // weightsFor returns the layer's quantized weight matrix under opts,
@@ -204,8 +244,8 @@ type layerExec struct {
 	w       *quant.Matrix
 	mode    execMode
 	pm      *quant.PackedMatrix  // planes served (ideal, faulted, or repaired)
-	pw      *quant.PairMatrix    // paired-column packing for the fast batched path (nil → scalar)
 	bw      *quant.BlockedMatrix // AVX2 blocked packing, preferred fast kernel (nil → pairs/scalar)
+	pw      *quant.PairMatrix    // paired-column packing, built only when bw is nil (nil → scalar)
 	fm      *fault.Model
 	key     int64
 	fastADC int64 // analytic ADC conversions per MVM on the fast paths
@@ -245,8 +285,11 @@ func (e *Engine) prepareLayer(l *dnn.Layer, opts InferenceOptions) (*layerExec, 
 		le.mode = modeBitExact
 	default:
 		le.mode = modeFast
-		le.bw = blockedTimed(w)
-		le.pw = pairsTimed(w)
+		// The pair packing is only the fallback for CPUs or shapes without
+		// the blocked kernel; applyBatch never reaches it otherwise.
+		if le.bw = blockedTimed(w); le.bw == nil {
+			le.pw = pairsTimed(w)
+		}
 	}
 	return le, nil
 }
@@ -277,76 +320,6 @@ func blockedTimed(w *quant.Matrix) *quant.BlockedMatrix {
 	bw := w.Blocked()
 	simStagePack.AddSince(start)
 	return bw
-}
-
-// mvmScratch is one worker's reusable buffers: the quantized input (U +
-// digit bytes + digit words), the extracted patch, and the integer/float
-// output accumulators. With it, a sliding-window MVM allocates nothing.
-type mvmScratch struct {
-	in    *quant.Input
-	patch []float64
-	out   []float64
-	acc   []int64
-}
-
-func (s *mvmScratch) patchFor(n int) []float64 {
-	if cap(s.patch) < n {
-		s.patch = make([]float64, n)
-	}
-	s.patch = s.patch[:n]
-	return s.patch
-}
-
-func (s *mvmScratch) outFor(n int) []float64 {
-	if cap(s.out) < n {
-		s.out = make([]float64, n)
-	}
-	s.out = s.out[:n]
-	clear(s.out)
-	return s.out
-}
-
-func (s *mvmScratch) accFor(n int) []int64 {
-	if cap(s.acc) < n {
-		s.acc = make([]int64, n)
-	}
-	s.acc = s.acc[:n]
-	clear(s.acc)
-	return s.acc
-}
-
-// apply runs one MVM for the prepared layer on one input patch, returning
-// the dequantized outputs in s.out (valid until the next apply on s).
-func (le *layerExec) apply(s *mvmScratch, patch []float64, stats *InferenceStats) ([]float64, error) {
-	in := quant.QuantizeInputInto(s.in, patch)
-	s.in = in
-	if in.N != le.w.Rows {
-		return nil, lengthErr(in.N, le.w.Rows)
-	}
-	out := s.outFor(le.w.Cols)
-	switch le.mode {
-	case modeFast:
-		integerMVMInto(out, s.accFor(le.w.Cols), le.w, in.U)
-		stats.ADCConversions += le.fastADC
-	case modeAggregate:
-		packedAggregateMVM(le.cfg, le.pm, le.w, in, le.fm, le.fm.Noise(le.key), out)
-		stats.ADCConversions += le.fastADC
-	case modeBitExact:
-		var es ExecStats
-		execPackedGrid(le.cfg, le.la, le.pm, in, nil, out, &es)
-		applyCorrection(out, le.w, in)
-		stats.ADCConversions += es.ADCConversions
-	case modeBitExactNoisy:
-		var es ExecStats
-		execPackedGrid(le.cfg, le.la, le.pm, in, le.fm.Noise(le.key), out, &es)
-		applyCorrection(out, le.w, in)
-		stats.ADCConversions += es.ADCConversions
-	}
-	stats.MVMs++
-	for j := range out {
-		out[j] = le.w.ScaleFor(j) * in.Scale * out[j]
-	}
-	return out, nil
 }
 
 // batchScratch is one worker's reusable batched buffers: the member-major
@@ -451,6 +424,7 @@ func (le *layerExec) applyBatch(s *batchScratch, out []float64, stats *Inference
 		default:
 			integerMVMBatch(out, s.accFor(max(cols, B)), le.w, pb)
 		}
+		simKernelWeightBytes.Add(fastWeightBytes(le.w, pb))
 		stats.ADCConversions += le.fastADC * int64(B)
 	case modeAggregate:
 		packedAggregateMVMBatch(le.cfg, le.pm, le.w, pb, le.fm, s.noiseFor(le.fm, le.key, B), s.accFor(B), out)
@@ -471,6 +445,23 @@ func (le *layerExec) applyBatch(s *batchScratch, out []float64, stats *Inference
 	if B > stats.MaxKernelBatch {
 		stats.MaxKernelBatch = B
 	}
+}
+
+// fastWeightBytes is the int8 weight bytes one fast kernel batch streams:
+// for a single member only the rows its non-zero codes multiply (the
+// row-gather kernel reads no others), for a larger batch the whole matrix
+// once, shared by every member.
+func fastWeightBytes(w *quant.Matrix, pb *quant.PackedBatch) int64 {
+	rows := w.Rows
+	if pb.B == 1 {
+		rows = 0
+		for _, c := range pb.U {
+			if c != 0 {
+				rows++
+			}
+		}
+	}
+	return int64(rows) * int64(w.Cols)
 }
 
 // emit is the activation the engine stores for raw kernel output v in
@@ -530,8 +521,25 @@ func (e *Engine) RunBatch(inputs []*dnn.Tensor, opts InferenceOptions) ([][]floa
 	}
 	mappables := m.Mappable()
 	last := mappables[len(mappables)-1]
-	curs := make([]*dnn.Tensor, len(inputs))
-	copy(curs, inputs)
+	// curs are the caller's inputs until the first conv or pool layer
+	// replaces them with engine-owned tensors; once consumed, those go back
+	// to the free list.
+	curs := inputs
+	owned := false
+	advance := func(outs []*dnn.Tensor) {
+		if owned {
+			e.putActs(curs)
+		}
+		curs, owned = outs, true
+	}
+	flatten := func() [][]float64 {
+		flats := make([][]float64, len(curs))
+		for i := range curs {
+			flats[i] = curs[i].Flatten()
+		}
+		advance(nil)
+		return flats
+	}
 	var flats [][]float64
 	for _, l := range m.Layers {
 		switch l.Kind {
@@ -540,26 +548,22 @@ func (e *Engine) RunBatch(inputs []*dnn.Tensor, opts InferenceOptions) ([][]floa
 			if err != nil {
 				return nil, stats, err
 			}
-			outs := make([]*dnn.Tensor, len(curs))
-			for i := range outs {
-				outs[i] = dnn.NewTensor(l.OutC, l.OutH, l.OutW)
-			}
+			outs := e.getActs(len(curs), l.OutC, l.OutH, l.OutW)
 			if err := e.streamPatchBatches(le, l, curs, outs, kb, l != last, &stats); err != nil {
 				return nil, stats, err
 			}
-			curs = outs
+			advance(outs)
 		case dnn.Pool:
+			outs := e.getActs(len(curs), curs[0].C, l.OutH, l.OutW)
 			start := time.Now()
 			for i := range curs {
-				curs[i] = dnn.PoolMaxRef(l, curs[i])
+				dnn.PoolMaxRefInto(l, curs[i], outs[i])
 			}
 			simStagePool.AddSince(start)
+			advance(outs)
 		case dnn.FC:
 			if flats == nil {
-				flats = make([][]float64, len(curs))
-				for i := range curs {
-					flats[i] = curs[i].Flatten()
-				}
+				flats = flatten()
 			}
 			le, err := e.prepareLayer(l, opts)
 			if err != nil {
@@ -571,10 +575,7 @@ func (e *Engine) RunBatch(inputs []*dnn.Tensor, opts InferenceOptions) ([][]floa
 		}
 	}
 	if flats == nil {
-		flats = make([][]float64, len(curs))
-		for i := range curs {
-			flats[i] = curs[i].Flatten()
-		}
+		flats = flatten()
 	}
 	return flats, stats, nil
 }

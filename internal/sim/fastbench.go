@@ -4,21 +4,15 @@ import (
 	"autohet/internal/quant"
 )
 
-// FastKernels exposes the engine's two fast-path MVM pipelines for one
-// weight matrix as standalone calls, for benchmarks and cross-checks.
+// FastKernels exposes the engine's fast-path MVM pipeline for one weight
+// matrix as a standalone call, for benchmarks and cross-checks. Batch is
+// layerExec.applyBatch's modeFast arm: one-pass codes-only batch
+// quantization followed by the blocked/pair/scalar batched kernel
+// hierarchy, with the same dispatch rules the engine uses. At b = 1 the
+// blocked kernel is the row-gather path, the one FC layers of a
+// one-input call run.
 //
-// Single is the unbatched per-patch pipeline — layerExec.apply's modeFast
-// arm: per-patch quantization (including the bit-serial digit slab the
-// single-vector path packs) followed by the single-vector integer kernel.
-// This was the serving engine's only fast path before kernel batching, so
-// it is the baseline batched legs are compared against.
-//
-// Batch is the batched pipeline — layerExec.applyBatch's modeFast arm:
-// one-pass codes-only batch quantization followed by the blocked/pair/
-// scalar batched kernel hierarchy, with the same dispatch rules the engine
-// uses.
-//
-// Both return dequantized outputs bit-identical to the bit-serial crossbar
+// Its dequantized outputs are bit-identical to the bit-serial crossbar
 // reference followed by the engine's dequantization (asserted in tests and
 // by the benchmark legs before timing). Scratch is reused across calls, so
 // warm calls allocate nothing; a FastKernels is not safe for concurrent
@@ -27,27 +21,18 @@ type FastKernels struct {
 	w  *quant.Matrix
 	bw *quant.BlockedMatrix
 	pw *quant.PairMatrix
-	ss mvmScratch
 	bs batchScratch
 }
 
-// NewFastKernels prepares the fast pipelines for w, building the same
-// kernel representations the engine's prepareLayer builds.
+// NewFastKernels prepares the fast pipeline for w, building the same
+// kernel representations the engine's prepareLayer builds: the blocked
+// packing, or the pair packing where the blocked kernel is unavailable.
 func NewFastKernels(w *quant.Matrix) *FastKernels {
-	return &FastKernels{w: w, bw: w.Blocked(), pw: w.Pairs()}
-}
-
-// Single runs one patch through the unbatched per-patch pipeline and
-// returns its dequantized outputs (valid until the next call).
-func (fk *FastKernels) Single(patch []float64) []float64 {
-	in := quant.QuantizeInputInto(fk.ss.in, patch)
-	fk.ss.in = in
-	out := fk.ss.outFor(fk.w.Cols)
-	integerMVMInto(out, fk.ss.accFor(fk.w.Cols), fk.w, in.U)
-	for j := range out {
-		out[j] = fk.w.ScaleFor(j) * in.Scale * out[j]
+	fk := &FastKernels{w: w, bw: w.Blocked()}
+	if fk.bw == nil {
+		fk.pw = w.Pairs()
 	}
-	return out
+	return fk
 }
 
 // Batch runs b member-major patches of length n (flat, like the engine's

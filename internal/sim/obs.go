@@ -46,6 +46,10 @@ var (
 	simRepairedMiss = obs.Default.Counter(`autohet_sim_cache_events_total{cache="repaired",event="miss"}`,
 		"sim.Engine per-layer memo lookups by cache and outcome.")
 
+	// Billed once per fast-mode kernel batch (fastWeightBytes).
+	simKernelWeightBytes = obs.Default.Counter("autohet_sim_kernel_weight_bytes_total",
+		"Int8 weight bytes streamed by sim.Engine's fast kernels: non-zero-code rows x cols for a one-member batch, rows x cols for a larger one.")
+
 	simInferences = obs.Default.Counter("autohet_sim_inferences_total",
 		"Functional inferences served by sim.Engine (including RunInference wrappers).")
 )

@@ -42,11 +42,11 @@ func TestEngineStagesBilled(t *testing.T) {
 // The fast kernels overwrite every output element, which is why applyBatch
 // clears out only for the accumulating bit-serial and aggregate modes: each
 // fast kernel (blocked, pair, scalar) must give the same result into a
-// NaN-poisoned buffer as into a zeroed one.
+// NaN-poisoned buffer as into a zeroed one — at B=1 too, where the blocked
+// kernel's row-gather path accumulates in out's own memory.
 func TestFastApplyBatchOverwritesOut(t *testing.T) {
 	p := singleLayerPlan(t, 3, 12, 128, xbar.Square(64))
 	l := p.Model.Mappable()[0]
-	const B = 8
 	patchLen := l.UnfoldedRows()
 	eng := NewEngine(p)
 	le, err := eng.prepareLayer(l, InferenceOptions{Seed: 1})
@@ -55,34 +55,85 @@ func TestFastApplyBatchOverwritesOut(t *testing.T) {
 	}
 	s := eng.getScratch()
 	defer eng.putScratch(s)
-	flat := s.flatFor(B * patchLen)
-	for k := 0; k < B; k++ {
-		copy(flat[k*patchLen:(k+1)*patchLen], dnn.SyntheticInput(l, int64(k)))
-	}
-	s.pb = quant.QuantizeBatchFlatCodesInto(s.pb, flat, patchLen, B)
 	kernels := []struct {
 		name string
 		bw   *quant.BlockedMatrix
 		pw   *quant.PairMatrix
-	}{{"blocked", le.bw, le.pw}, {"pair", nil, le.pw}, {"scalar", nil, nil}}
-	var want []float64
-	for _, kn := range kernels {
-		if kn.name == "blocked" && kn.bw == nil {
-			continue // no AVX2 on this CPU
+	}{{"blocked", le.bw, nil}, {"pair", nil, le.w.Pairs()}, {"scalar", nil, nil}}
+	for _, B := range []int{1, 8} {
+		flat := s.flatFor(B * patchLen)
+		for k := 0; k < B; k++ {
+			copy(flat[k*patchLen:(k+1)*patchLen], dnn.SyntheticInput(l, int64(k)))
 		}
-		le.bw, le.pw = kn.bw, kn.pw
+		s.pb = quant.QuantizeBatchFlatCodesInto(s.pb, flat, patchLen, B)
+		var want []float64
+		for _, kn := range kernels {
+			if kn.name == "blocked" && kn.bw == nil {
+				continue // no AVX2 on this CPU
+			}
+			le.bw, le.pw = kn.bw, kn.pw
+			var stats InferenceStats
+			zeroed := make([]float64, B*le.w.Cols)
+			le.applyBatch(s, zeroed, &stats)
+			poisoned := make([]float64, B*le.w.Cols)
+			for i := range poisoned {
+				poisoned[i] = math.NaN()
+			}
+			le.applyBatch(s, poisoned, &stats)
+			if want == nil {
+				want = zeroed
+			}
+			name := fmt.Sprintf("%s B=%d", kn.name, B)
+			eqF64(t, name+" zeroed", zeroed, want)
+			eqF64(t, name+" poisoned", poisoned, want)
+		}
+	}
+}
+
+// autohet_sim_kernel_weight_bytes_total counts the int8 weight bytes the
+// fast kernels stream, once per kernel batch: for one member only the rows
+// a non-zero code multiplies, for a larger batch the whole matrix once.
+// The bit-serial paths bill nothing to it.
+func TestKernelWeightBytesCounter(t *testing.T) {
+	p := singleLayerPlan(t, 3, 12, 128, xbar.Square(64))
+	l := p.Model.Mappable()[0]
+	rows := l.UnfoldedRows()
+	eng := NewEngine(p)
+	s := eng.getScratch()
+	defer eng.putScratch(s)
+	const name = "autohet_sim_kernel_weight_bytes_total"
+	// Every third activation is 0 and the rest share the maximum, so the
+	// codes are exactly 0 and 255 and rows/3 rows have a non-zero code.
+	const B = 4
+	flat := s.flatFor(B * rows)
+	nonZero := 0
+	for i := range flat {
+		if i%3 != 0 {
+			flat[i] = 1.5
+			if i < rows {
+				nonZero++
+			}
+		}
+	}
+	for _, tc := range []struct {
+		opts InferenceOptions
+		b    int
+		want int
+	}{
+		{InferenceOptions{Seed: 1}, 1, nonZero * 128},
+		{InferenceOptions{Seed: 1}, B, rows * 128},
+		{InferenceOptions{Seed: 1, BitExact: true}, 1, 0},
+	} {
+		le, err := eng.prepareLayer(l, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.pb = le.quantizeBatch(s.pb, flat[:tc.b*rows], rows, tc.b)
+		before := obs.Default.JSON().Counters[name]
 		var stats InferenceStats
-		zeroed := make([]float64, B*le.w.Cols)
-		le.applyBatch(s, zeroed, &stats)
-		poisoned := make([]float64, B*le.w.Cols)
-		for i := range poisoned {
-			poisoned[i] = math.NaN()
+		le.applyBatch(s, s.outFor(tc.b*le.w.Cols), &stats)
+		if got := obs.Default.JSON().Counters[name] - before; got != int64(tc.want) {
+			t.Errorf("BitExact=%v B=%d: %d weight bytes billed, want %d", tc.opts.BitExact, tc.b, got, tc.want)
 		}
-		le.applyBatch(s, poisoned, &stats)
-		if want == nil {
-			want = zeroed
-		}
-		eqF64(t, kn.name+" zeroed", zeroed, want)
-		eqF64(t, kn.name+" poisoned", poisoned, want)
 	}
 }
